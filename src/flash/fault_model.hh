@@ -23,6 +23,7 @@
 #include <cstdint>
 
 #include "flash/geometry.hh"
+#include "sim/field_table.hh"
 #include "sim/types.hh"
 
 namespace spk
@@ -96,7 +97,23 @@ struct FaultConfig
     void validate() const;
 
     bool operator==(const FaultConfig &) const = default;
+
+    /** Field table (sim/field_table.hh): every member, in order. */
+    template <typename F>
+    static constexpr void forEachField(F &&f)
+    {
+        using C = FaultConfig;
+        visitFields(f, &C::readTransientRate, &C::retryStepFailRate,
+                    &C::readHardRate, &C::programFailRate,
+                    &C::eraseFailRate, &C::retryLadderSteps,
+                    &C::retryLatencyStepPct, &C::dieFailTick,
+                    &C::dieFailChip, &C::dieFailDie, &C::softDecodeEnabled,
+                    &C::softDecodeLatency, &C::softDecodeStepPct,
+                    &C::softDecodeFailRate);
+    }
 };
+
+static_assert(fieldTableCovers<FaultConfig>());
 
 /** Outcome of one read sense attempt. */
 enum class ReadOutcome : std::uint8_t

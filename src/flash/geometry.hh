@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <string>
 
+#include "sim/field_table.hh"
 #include "sim/types.hh"
 
 namespace spk
@@ -127,7 +128,19 @@ struct FlashGeometry
 
     /** Human-readable one-line summary. */
     std::string describe() const;
+
+    /** Field table (sim/field_table.hh): every member, in order. */
+    template <typename F>
+    static constexpr void forEachField(F &&f)
+    {
+        using G = FlashGeometry;
+        visitFields(f, &G::numChannels, &G::chipsPerChannel,
+                    &G::diesPerChip, &G::planesPerDie, &G::blocksPerPlane,
+                    &G::pagesPerBlock, &G::pageSizeBytes);
+    }
 };
+
+static_assert(fieldTableCovers<FlashGeometry>());
 
 } // namespace spk
 

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 
+#include "sim/field_table.hh"
 #include "sim/types.hh"
 
 namespace spk
@@ -58,7 +59,19 @@ struct FlashTiming
         // Round up to whole nanoseconds.
         return (bytes * kSecond + busBytesPerSec - 1) / busBytesPerSec;
     }
+
+    /** Field table (sim/field_table.hh): every member, in order. */
+    template <typename F>
+    static constexpr void forEachField(F &&f)
+    {
+        using T = FlashTiming;
+        visitFields(f, &T::readLatency, &T::programFast, &T::programSlow,
+                    &T::eraseLatency, &T::busBytesPerSec,
+                    &T::commandOverhead);
+    }
 };
+
+static_assert(fieldTableCovers<FlashTiming>());
 
 } // namespace spk
 

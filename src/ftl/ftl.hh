@@ -24,6 +24,7 @@
 #include "ftl/mapping.hh"
 #include "ftl/parity_map.hh"
 #include "sim/logging.hh"
+#include "sim/field_table.hh"
 #include "sim/rng.hh"
 #include "sim/types.hh"
 
@@ -53,7 +54,18 @@ struct FtlConfig
      * migration source (Section 4.3).
      */
     std::uint32_t wearLevelThreshold = 0;
+
+    /** Field table (sim/field_table.hh): every member, in order. */
+    template <typename F>
+    static constexpr void forEachField(F &&f)
+    {
+        using C = FtlConfig;
+        visitFields(f, &C::overprovision, &C::gcFreeBlockThreshold,
+                    &C::endurance, &C::allocation, &C::wearLevelThreshold);
+    }
 };
+
+static_assert(fieldTableCovers<FtlConfig>());
 
 /** One live-page move performed by garbage collection. */
 struct GcMigration

@@ -24,6 +24,7 @@
 #include "sched/queue_arbiter.hh"
 #include "sched/scheduler.hh"
 #include "sim/event_queue.hh"
+#include "sim/field_table.hh"
 #include "sim/logging.hh"
 #include "sim/slab.hh"
 #include "sim/stats.hh"
@@ -55,7 +56,18 @@ struct NvmhcConfig
      * pre-multi-queue behavior).
      */
     ArbiterKind arbiter = ArbiterKind::RoundRobin;
+
+    /** Field table (sim/field_table.hh): every member, in order. */
+    template <typename F>
+    static constexpr void forEachField(F &&f)
+    {
+        using C = NvmhcConfig;
+        visitFields(f, &C::queueDepth, &C::composeOverhead,
+                    &C::hostBwBytesPerSec, &C::arbiter);
+    }
 };
+
+static_assert(fieldTableCovers<NvmhcConfig>());
 
 /** Arbitration attributes of one submission queue (host stream). */
 struct StreamInfo

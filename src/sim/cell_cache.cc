@@ -2,12 +2,16 @@
 
 #include <unistd.h>
 
+#include <array>
 #include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
+#include <vector>
 
+#include "model_digest.hh"
 #include "sim/logging.hh"
 
 namespace spk
@@ -19,7 +23,7 @@ namespace
 /** On-disk format tag. Bump when the key composition or the snapshot
  *  payload layout changes: old entries then miss (magic mismatch)
  *  instead of deserializing garbage. */
-constexpr char kMagic[8] = {'S', 'P', 'K', 'C', 'E', 'L', '2', '\n'};
+constexpr char kMagic[8] = {'S', 'P', 'K', 'C', 'E', 'L', '3', '\n'};
 
 /**
  * 128-bit content digest: two independent FNV-1a streams over the
@@ -46,10 +50,8 @@ struct Digest128
         for (int i = 0; i < 8; ++i)
             byte(static_cast<std::uint8_t>(v >> (8 * i)));
     }
-    void u32(std::uint32_t v) { u64(v); }
     void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-    void boolean(bool v) { byte(v ? 1 : 0); }
-    void str(const std::string &s)
+    void str(std::string_view s)
     {
         u64(s.size());
         for (const char c : s)
@@ -66,87 +68,74 @@ struct Digest128
     }
 };
 
-/** Feed every field of the config that can influence a result. */
+/** Feed every config field to the digest, walking the field tables
+ *  (sim/field_table.hh) down through the nested structs. */
+template <typename C>
 void
-digestConfig(Digest128 &d, const SsdConfig &cfg)
+digestFields(Digest128 &d, const C &c)
 {
-    const FlashGeometry &g = cfg.geometry;
-    d.u32(g.numChannels);
-    d.u32(g.chipsPerChannel);
-    d.u32(g.diesPerChip);
-    d.u32(g.planesPerDie);
-    d.u32(g.blocksPerPlane);
-    d.u32(g.pagesPerBlock);
-    d.u32(g.pageSizeBytes);
-
-    const FlashTiming &t = cfg.timing;
-    d.u64(t.readLatency);
-    d.u64(t.programFast);
-    d.u64(t.programSlow);
-    d.u64(t.eraseLatency);
-    d.u64(t.busBytesPerSec);
-    d.u64(t.commandOverhead);
-
-    const FtlConfig &f = cfg.ftl;
-    d.f64(f.overprovision);
-    d.u32(f.gcFreeBlockThreshold);
-    d.u32(f.endurance);
-    d.byte(static_cast<std::uint8_t>(f.allocation));
-    d.u32(f.wearLevelThreshold);
-
-    const NvmhcConfig &n = cfg.nvmhc;
-    d.u32(n.queueDepth);
-    d.u64(n.composeOverhead);
-    d.u64(n.hostBwBytesPerSec);
-    d.byte(static_cast<std::uint8_t>(n.arbiter));
-
-    const FaultConfig &fa = cfg.fault;
-    d.f64(fa.readTransientRate);
-    d.f64(fa.retryStepFailRate);
-    d.f64(fa.readHardRate);
-    d.f64(fa.programFailRate);
-    d.f64(fa.eraseFailRate);
-    d.u32(fa.retryLadderSteps);
-    d.u32(fa.retryLatencyStepPct);
-    d.u64(fa.dieFailTick);
-    d.u32(fa.dieFailChip);
-    d.u32(fa.dieFailDie);
-    d.boolean(fa.softDecodeEnabled);
-    d.u64(fa.softDecodeLatency);
-    d.u32(fa.softDecodeStepPct);
-    d.f64(fa.softDecodeFailRate);
-
-    const ParityConfig &p = cfg.parity;
-    d.boolean(p.enabled);
-    d.u64(p.flushWindow);
-    d.u64(p.rebuildPageInterval);
-
-    d.byte(static_cast<std::uint8_t>(cfg.scheduler));
-    d.u32(cfg.faroWindow);
-    d.u64(cfg.decisionWindow);
-    d.u32(cfg.gcMaxLiveBatchesPerPlane);
-    d.u64(cfg.seed);
+    C::forEachField([&d, &c](auto member) {
+        const auto &v = c.*member;
+        using T = std::remove_cvref_t<decltype(v)>;
+        if constexpr (std::is_enum_v<T> || std::is_same_v<T, bool>)
+            d.byte(static_cast<std::uint8_t>(v));
+        else if constexpr (std::is_floating_point_v<T>)
+            d.f64(v);
+        else if constexpr (std::is_integral_v<T>)
+            d.u64(v);
+        else
+            digestFields(d, v);
+    });
 }
 
 // ---- snapshot payload ------------------------------------------------
+//
+// The members of the metric field tables, in declaration order, as
+// little-endian u64 words (doubles by bit pattern). Strings and the
+// stream list are count-prefixed, and so is an array without CSV
+// columns (the per-step retry bins), so a resized one fails to load.
+
+/** Walk @p s's payload in field-table order through @p io (a Writer,
+ *  or a Reader with a non-const @p s). */
+template <typename IO, typename S>
+void
+transfer(IO &io, S &s)
+{
+    std::remove_const_t<S>::forEachField([&io, &s](const auto &row) {
+        auto &v = s.*row.member;
+        using T = std::remove_cvref_t<decltype(v)>;
+        if constexpr (std::is_same_v<T, std::vector<StreamMetrics>>) {
+            io.count(v);
+            for (auto &e : v)
+                transfer(io, e);
+        } else if constexpr (requires { std::tuple_size<T>::value; }) {
+            if constexpr (std::remove_cvref_t<decltype(row)>::width == 0)
+                io.count(v);
+            for (auto &e : v)
+                io.value(e);
+        } else {
+            io.value(v);
+        }
+    });
+}
 
 struct Writer
 {
     std::string out;
 
-    void u64(std::uint64_t v)
+    void value(std::uint64_t v)
     {
         for (int i = 0; i < 8; ++i)
             out.push_back(
                 static_cast<char>(static_cast<std::uint8_t>(v >> (8 * i))));
     }
-    void u32(std::uint32_t v) { u64(v); }
-    void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-    void str(const std::string &s)
+    void value(double v) { value(std::bit_cast<std::uint64_t>(v)); }
+    void value(const std::string &s)
     {
-        u64(s.size());
+        count(s);
         out.append(s);
     }
+    void count(const auto &c) { value(std::uint64_t{c.size()}); }
 };
 
 struct Reader
@@ -155,44 +144,67 @@ struct Reader
     std::size_t pos = 0;
     bool ok = true;
 
-    explicit Reader(const std::string &s) : in(s) {}
-
-    std::uint64_t u64()
+    void value(std::uint64_t &v)
     {
+        v = 0;
         if (pos + 8 > in.size()) {
             ok = false;
-            return 0;
+            return;
         }
-        std::uint64_t v = 0;
         for (int i = 0; i < 8; ++i)
             v |= static_cast<std::uint64_t>(
                      static_cast<std::uint8_t>(in[pos + i]))
                  << (8 * i);
         pos += 8;
-        return v;
     }
-    double f64() { return std::bit_cast<double>(u64()); }
-    std::string str()
+    void value(double &v)
     {
-        const std::uint64_t len = u64();
-        if (!ok || pos + len > in.size()) {
-            ok = false;
-            return {};
-        }
-        std::string s = in.substr(pos, len);
-        pos += len;
-        return s;
+        std::uint64_t bits;
+        value(bits);
+        v = std::bit_cast<double>(bits);
+    }
+    void value(std::string &s)
+    {
+        std::uint64_t len;
+        value(len);
+        ok = ok && len <= in.size() - pos;
+        s = ok ? in.substr(pos, len) : std::string();
+        pos += s.size();
+    }
+    /** A list count must fit in what is left. */
+    template <typename T>
+    void count(std::vector<T> &v)
+    {
+        std::uint64_t n;
+        value(n);
+        ok = ok && n <= in.size() - pos;
+        v.resize(ok ? n : 0);
+    }
+    /** A fixed array's stored count must match its size. */
+    template <typename T, std::size_t N>
+    void count(std::array<T, N> &)
+    {
+        std::uint64_t n;
+        value(n);
+        ok = ok && n == N;
     }
 };
 
 } // namespace
 
+std::string_view
+CellCache::modelDigest()
+{
+    return SPK_MODEL_DIGEST;
+}
+
 std::string
-CellCache::keyOf(const DeviceJob &job)
+CellCache::keyOf(const DeviceJob &job, std::string_view model)
 {
     Digest128 d;
-    digestConfig(d, job.cfg);
-    d.boolean(job.preconditionGc);
+    d.str(model);
+    digestFields(d, job.cfg);
+    d.byte(job.preconditionGc);
     d.byte(static_cast<std::uint8_t>(job.fidelity));
     // Workload content: the digest + record count of each trace, plus
     // every stream attribute that shapes replay. Intern-sharing is
@@ -202,9 +214,9 @@ CellCache::keyOf(const DeviceJob &job)
     d.u64(job.streams.size());
     for (const auto &s : job.streams) {
         d.str(s.name);
-        d.u32(s.iodepth);
-        d.u32(s.weight);
-        d.u32(s.priority);
+        d.u64(s.iodepth);
+        d.u64(s.weight);
+        d.u64(s.priority);
         d.u64(s.trace.size());
         d.u64(s.trace.digest());
     }
@@ -215,160 +227,16 @@ std::string
 CellCache::serialize(const MetricsSnapshot &m)
 {
     Writer w;
-    w.str(m.scheduler);
-    w.u64(m.makespan);
-    w.u64(m.deviceActiveTime);
-    w.u64(m.iosCompleted);
-    w.u64(m.bytesRead);
-    w.u64(m.bytesWritten);
-    w.f64(m.bandwidthKBps);
-    w.f64(m.iops);
-    w.f64(m.avgLatencyNs);
-    w.u64(m.p50LatencyNs);
-    w.u64(m.p95LatencyNs);
-    w.u64(m.p99LatencyNs);
-    w.u64(m.maxLatencyNs);
-    w.f64(m.avgReadLatencyNs);
-    w.f64(m.avgWriteLatencyNs);
-    w.u64(m.queueStallTime);
-    w.f64(m.chipUtilizationPct);
-    w.f64(m.flashLevelUtilizationPct);
-    w.f64(m.interChipIdlenessPct);
-    w.f64(m.intraChipIdlenessPct);
-    for (const double pct : m.flpPct)
-        w.f64(pct);
-    w.u64(m.transactions);
-    w.u64(m.requestsServed);
-    w.f64(m.execBusPct);
-    w.f64(m.execContentionPct);
-    w.f64(m.execCellPct);
-    w.f64(m.execIdlePct);
-    w.u64(m.staleRetries);
-    w.u64(m.gcBatches);
-    w.u64(m.pagesMigrated);
-    w.u64(m.readRetries);
-    w.u64(m.readRetriesByStep.size());
-    for (const std::uint64_t v : m.readRetriesByStep)
-        w.u64(v);
-    w.u64(m.uncorrectableReads);
-    w.u64(m.programFailures);
-    w.u64(m.programRemaps);
-    w.u64(m.eraseFailures);
-    w.u64(m.blocksRetiredWear);
-    w.u64(m.blocksRetiredProgram);
-    w.u64(m.blocksRetiredErase);
-    w.u64(m.failedIos);
-    w.u64(m.degradedDies);
-    w.u64(m.parityUpdates);
-    w.u64(m.parityFullStripeCloses);
-    w.u64(m.parityPartialCloses);
-    w.u64(m.parityRmwReads);
-    w.u64(m.reconstructedReads);
-    w.u64(m.reconstructionReads);
-    w.u64(m.rebuildPagesTotal);
-    w.u64(m.rebuildPagesRebuilt);
-    w.u64(m.softDecodeInvocations);
-    w.u64(m.softDecodeFailures);
-    w.u64(m.softDecodeBusyTime);
-    w.u64(m.softDecodeStallTime);
-    w.u64(m.gcReadFailures);
-    w.u64(m.streams.size());
-    for (const StreamMetrics &s : m.streams) {
-        w.str(s.name);
-        w.u64(s.iosSubmitted);
-        w.u64(s.iosCompleted);
-        w.u64(s.bytesRead);
-        w.u64(s.bytesWritten);
-        w.u64(s.queueStallTime);
-        w.f64(s.bandwidthKBps);
-        w.f64(s.iops);
-        w.f64(s.avgLatencyNs);
-        w.u64(s.p99LatencyNs);
-        w.u64(s.maxLatencyNs);
-    }
+    transfer(w, m);
     return w.out;
 }
 
 bool
 CellCache::deserialize(const std::string &payload, MetricsSnapshot &out)
 {
-    Reader r(payload);
+    Reader r{payload};
     MetricsSnapshot m;
-    m.scheduler = r.str();
-    m.makespan = r.u64();
-    m.deviceActiveTime = r.u64();
-    m.iosCompleted = r.u64();
-    m.bytesRead = r.u64();
-    m.bytesWritten = r.u64();
-    m.bandwidthKBps = r.f64();
-    m.iops = r.f64();
-    m.avgLatencyNs = r.f64();
-    m.p50LatencyNs = r.u64();
-    m.p95LatencyNs = r.u64();
-    m.p99LatencyNs = r.u64();
-    m.maxLatencyNs = r.u64();
-    m.avgReadLatencyNs = r.f64();
-    m.avgWriteLatencyNs = r.f64();
-    m.queueStallTime = r.u64();
-    m.chipUtilizationPct = r.f64();
-    m.flashLevelUtilizationPct = r.f64();
-    m.interChipIdlenessPct = r.f64();
-    m.intraChipIdlenessPct = r.f64();
-    for (double &pct : m.flpPct)
-        pct = r.f64();
-    m.transactions = r.u64();
-    m.requestsServed = r.u64();
-    m.execBusPct = r.f64();
-    m.execContentionPct = r.f64();
-    m.execCellPct = r.f64();
-    m.execIdlePct = r.f64();
-    m.staleRetries = r.u64();
-    m.gcBatches = r.u64();
-    m.pagesMigrated = r.u64();
-    m.readRetries = r.u64();
-    if (r.u64() != m.readRetriesByStep.size())
-        return false;
-    for (std::uint64_t &v : m.readRetriesByStep)
-        v = r.u64();
-    m.uncorrectableReads = r.u64();
-    m.programFailures = r.u64();
-    m.programRemaps = r.u64();
-    m.eraseFailures = r.u64();
-    m.blocksRetiredWear = r.u64();
-    m.blocksRetiredProgram = r.u64();
-    m.blocksRetiredErase = r.u64();
-    m.failedIos = r.u64();
-    m.degradedDies = r.u64();
-    m.parityUpdates = r.u64();
-    m.parityFullStripeCloses = r.u64();
-    m.parityPartialCloses = r.u64();
-    m.parityRmwReads = r.u64();
-    m.reconstructedReads = r.u64();
-    m.reconstructionReads = r.u64();
-    m.rebuildPagesTotal = r.u64();
-    m.rebuildPagesRebuilt = r.u64();
-    m.softDecodeInvocations = r.u64();
-    m.softDecodeFailures = r.u64();
-    m.softDecodeBusyTime = r.u64();
-    m.softDecodeStallTime = r.u64();
-    m.gcReadFailures = r.u64();
-    const std::uint64_t n_streams = r.u64();
-    if (!r.ok || n_streams > payload.size())
-        return false;
-    m.streams.resize(static_cast<std::size_t>(n_streams));
-    for (StreamMetrics &s : m.streams) {
-        s.name = r.str();
-        s.iosSubmitted = r.u64();
-        s.iosCompleted = r.u64();
-        s.bytesRead = r.u64();
-        s.bytesWritten = r.u64();
-        s.queueStallTime = r.u64();
-        s.bandwidthKBps = r.f64();
-        s.iops = r.f64();
-        s.avgLatencyNs = r.f64();
-        s.p99LatencyNs = r.u64();
-        s.maxLatencyNs = r.u64();
-    }
+    transfer(r, m);
     if (!r.ok || r.pos != payload.size())
         return false;
     out = std::move(m);

@@ -11,14 +11,13 @@
  * exact double bit patterns, so a warm re-run skips the simulation
  * and still produces byte-identical output.
  *
- * Key composition (see keyOf): every SsdConfig field (geometry,
- * timing, FTL, NVMHC, fault, parity, scheduler, windows, seed), the
- * content digest + length of the trace or of every stream's trace
- * (plus each stream's name/iodepth/weight/priority), the
- * preconditionGc flag and the fidelity. Changing ANY of these
- * changes the key — there is no partial invalidation to reason
- * about. Adding a new config field requires bumping kMagic so stale
- * entries miss instead of lying.
+ * Key composition (see keyOf): the model digest (a build-time hash
+ * of every source under src/, estimator constants included), every
+ * SsdConfig field via the config field tables, the content digest +
+ * length of the trace or of every stream's trace (plus each stream's
+ * name/iodepth/weight/priority), the preconditionGc flag and the
+ * fidelity. Changing ANY of these changes the key, so a rebuilt
+ * model never serves the old code's results.
  *
  * Cells that capture per-I/O series are never cached (the cache
  * stores snapshots, not series); DeviceArray skips the cache for
@@ -36,6 +35,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "sim/device_array.hh"
 
@@ -52,9 +52,13 @@ class CellCache
     CellCache(const CellCache &) = delete;
     CellCache &operator=(const CellCache &) = delete;
 
-    /** 32-hex-char content key of one cell (128-bit FNV-1a pair over
-     *  the canonical serialization described above). */
-    static std::string keyOf(const DeviceJob &job);
+    /** This build's model digest (hash of the simulator sources). */
+    static std::string_view modelDigest();
+
+    /** 32-hex-char content key of one cell under @p model (128-bit
+     *  FNV-1a pair over the canonical serialization above). */
+    static std::string keyOf(const DeviceJob &job,
+                             std::string_view model = modelDigest());
 
     /**
      * Look @p job up; on hit deserializes the stored snapshot into

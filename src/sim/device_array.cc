@@ -5,7 +5,9 @@
 #include <chrono>
 #include <mutex>
 #include <numeric>
+#include <span>
 #include <thread>
+#include <type_traits>
 #include <utility>
 
 #include "sim/cell_cache.hh"
@@ -236,185 +238,163 @@ DeviceArray::completedCount() const
     return count;
 }
 
+namespace
+{
+
+/** A part's weight under a weighted-mean rule, as (weight, share):
+ *  values accumulate as value * weight * share, in that order. */
+template <Merge Rule, typename S>
+std::pair<double, double>
+partWeight(const S &m)
+{
+    const auto ios = static_cast<double>(m.iosCompleted);
+    const double bytes = static_cast<double>(m.bytesRead + m.bytesWritten);
+    const double read =
+        bytes > 0.0 ? static_cast<double>(m.bytesRead) / bytes : 0.0;
+    if constexpr (Rule == Merge::ReadShareWeightedMean)
+        return {ios, read};
+    else if constexpr (Rule == Merge::WriteShareWeightedMean)
+        return {ios, 1.0 - read};
+    else if constexpr (Rule == Merge::MakespanWeightedMean)
+        return {static_cast<double>(m.makespan), 1.0};
+    else if constexpr (Rule == Merge::RequestsWeightedMean)
+        return {static_cast<double>(m.requestsServed), 1.0};
+    else
+        return {ios, 1.0};
+}
+
+/** What a weighted mean divides by: the merged integer count for the
+ *  I/O- and request-weighted means, else the summed part weights. */
+template <Merge Rule, typename S>
+double
+totalWeight(const S &agg, double summed)
+{
+    if constexpr (Rule == Merge::IoWeightedMean)
+        return static_cast<double>(agg.iosCompleted);
+    else if constexpr (Rule == Merge::RequestsWeightedMean)
+        return static_cast<double>(agg.requestsServed);
+    else
+        return summed;
+}
+
+/** View a member as its elements: an array as itself, a scalar as a
+ *  one-element span. */
+template <typename T>
+auto
+elements(T &x)
+{
+    if constexpr (requires { x.size(); })
+        return std::span(x);
+    else
+        return std::span<T, 1>(&x, 1);
+}
+
+template <typename S>
+S mergeParts(const std::vector<const S *> &parts);
+
+/** Merge per-stream slices by name, in order of first appearance
+ *  (part order, then slice order). */
+template <typename S, typename T>
+std::vector<T>
+mergeByName(const std::vector<const S *> &parts,
+            std::vector<T> S::*member)
+{
+    std::vector<std::vector<const T *>> groups;
+    for (const S *p : parts) {
+        for (const T &slice : p->*member) {
+            std::size_t g = 0;
+            while (g < groups.size() && groups[g][0]->name != slice.name)
+                ++g;
+            if (g == groups.size())
+                groups.emplace_back();
+            groups[g].push_back(&slice);
+        }
+    }
+    std::vector<T> merged;
+    for (const auto &group : groups)
+        merged.push_back(mergeParts(group));
+    return merged;
+}
+
+/**
+ * Fold @p parts (non-empty) through @p S's field table. One pass over
+ * the parts, in order, applies each row's merge rule; weighted means
+ * collect (value, weight) sums, one per element, which a second walk
+ * of the table divides (leaving zero when nothing carries weight).
+ */
+template <typename S>
+S
+mergeParts(const std::vector<const S *> &parts)
+{
+    S agg;
+    std::size_t means = 0;
+    S::forEachField([&](const auto &row) {
+        if constexpr (isWeightedMean(std::remove_cvref_t<decltype(row)>::merge))
+            means += elements(agg.*row.member).size();
+    });
+    std::vector<std::pair<double, double>> sums(means);
+    for (const S *p : parts) {
+        std::size_t next = 0;
+        S::forEachField([&](const auto &row) {
+            using Row = std::remove_cvref_t<decltype(row)>;
+            auto &out = agg.*row.member;
+            const auto &in = p->*row.member;
+            if constexpr (Row::merge == Merge::Key) {
+                if (p == parts.front())
+                    out = in;
+            } else if constexpr (Row::merge == Merge::SameOrMixed) {
+                if (p == parts.front())
+                    out = in;
+                else if (in != out)
+                    out = "mixed";
+            } else if constexpr (Row::merge == Merge::ByStreamName) {
+                // Merged after the pass, across all parts at once.
+            } else if constexpr (Row::merge == Merge::Max) {
+                out = std::max(out, in);
+            } else if constexpr (Row::merge == Merge::Sum) {
+                const auto outs = elements(out);
+                for (std::size_t i = 0; i < outs.size(); ++i)
+                    outs[i] += elements(in)[i];
+            } else {
+                const auto [weight, share] = partWeight<Row::merge>(*p);
+                for (const auto v : elements(in)) {
+                    sums[next].first += static_cast<double>(v) * weight * share;
+                    sums[next++].second += weight * share;
+                }
+            }
+        });
+    }
+    std::size_t next = 0;
+    S::forEachField([&](const auto &row) {
+        using Row = std::remove_cvref_t<decltype(row)>;
+        auto &out = agg.*row.member;
+        if constexpr (Row::merge == Merge::ByStreamName) {
+            out = mergeByName(parts, row.member);
+        } else if constexpr (isWeightedMean(Row::merge)) {
+            for (auto &o : elements(out)) {
+                const auto [value, summed] = sums[next++];
+                const double total = totalWeight<Row::merge>(agg, summed);
+                if (total > 0.0)
+                    o = static_cast<std::remove_cvref_t<decltype(o)>>(
+                        value / total);
+            }
+        }
+    });
+    return agg;
+}
+
+} // namespace
+
 MetricsSnapshot
 DeviceArray::aggregate(const std::vector<MetricsSnapshot> &devices)
 {
-    MetricsSnapshot agg;
     if (devices.empty())
-        return agg;
-
-    agg.scheduler = devices.front().scheduler;
-    for (const auto &m : devices) {
-        if (m.scheduler != agg.scheduler)
-            agg.scheduler = "mixed";
-    }
-
-    double weighted_lat = 0.0;
-    double weighted_read_lat = 0.0;
-    double weighted_write_lat = 0.0;
-    double weighted_p50 = 0.0;
-    double weighted_p95 = 0.0;
-    double weighted_p99 = 0.0;
-    double span_weight = 0.0;
-    double util = 0.0;
-    double flash_util = 0.0;
-    double inter_idle = 0.0;
-    double intra_idle = 0.0;
-    double exec_bus = 0.0;
-    double exec_cont = 0.0;
-    double exec_cell = 0.0;
-    double exec_idle = 0.0;
-    std::array<double, 4> flp{};
-    double reads = 0.0;
-    double writes = 0.0;
-
-    for (const auto &m : devices) {
-        agg.makespan = std::max(agg.makespan, m.makespan);
-        agg.deviceActiveTime += m.deviceActiveTime;
-        agg.iosCompleted += m.iosCompleted;
-        agg.bytesRead += m.bytesRead;
-        agg.bytesWritten += m.bytesWritten;
-        agg.bandwidthKBps += m.bandwidthKBps;
-        agg.iops += m.iops;
-        agg.queueStallTime += m.queueStallTime;
-        agg.transactions += m.transactions;
-        agg.requestsServed += m.requestsServed;
-        agg.staleRetries += m.staleRetries;
-        agg.gcBatches += m.gcBatches;
-        agg.pagesMigrated += m.pagesMigrated;
-        agg.readRetries += m.readRetries;
-        for (std::size_t i = 0; i < agg.readRetriesByStep.size(); ++i)
-            agg.readRetriesByStep[i] += m.readRetriesByStep[i];
-        agg.uncorrectableReads += m.uncorrectableReads;
-        agg.programFailures += m.programFailures;
-        agg.programRemaps += m.programRemaps;
-        agg.eraseFailures += m.eraseFailures;
-        agg.blocksRetiredWear += m.blocksRetiredWear;
-        agg.blocksRetiredProgram += m.blocksRetiredProgram;
-        agg.blocksRetiredErase += m.blocksRetiredErase;
-        agg.failedIos += m.failedIos;
-        agg.degradedDies += m.degradedDies;
-        agg.parityUpdates += m.parityUpdates;
-        agg.parityFullStripeCloses += m.parityFullStripeCloses;
-        agg.parityPartialCloses += m.parityPartialCloses;
-        agg.parityRmwReads += m.parityRmwReads;
-        agg.reconstructedReads += m.reconstructedReads;
-        agg.reconstructionReads += m.reconstructionReads;
-        agg.rebuildPagesTotal += m.rebuildPagesTotal;
-        agg.rebuildPagesRebuilt += m.rebuildPagesRebuilt;
-        agg.softDecodeInvocations += m.softDecodeInvocations;
-        agg.softDecodeFailures += m.softDecodeFailures;
-        agg.softDecodeBusyTime += m.softDecodeBusyTime;
-        agg.softDecodeStallTime += m.softDecodeStallTime;
-        agg.gcReadFailures += m.gcReadFailures;
-        agg.maxLatencyNs = std::max(agg.maxLatencyNs, m.maxLatencyNs);
-
-        const auto ios = static_cast<double>(m.iosCompleted);
-        weighted_lat += m.avgLatencyNs * ios;
-        weighted_p50 += static_cast<double>(m.p50LatencyNs) * ios;
-        weighted_p95 += static_cast<double>(m.p95LatencyNs) * ios;
-        weighted_p99 += static_cast<double>(m.p99LatencyNs) * ios;
-        // Read/write splits are weighted by total I/Os as well: the
-        // snapshot does not carry separate read/write counts, so use
-        // the byte mix to apportion them.
-        const double dev_bytes =
-            static_cast<double>(m.bytesRead + m.bytesWritten);
-        const double read_share =
-            dev_bytes > 0.0
-                ? static_cast<double>(m.bytesRead) / dev_bytes
-                : 0.0;
-        weighted_read_lat += m.avgReadLatencyNs * ios * read_share;
-        reads += ios * read_share;
-        weighted_write_lat +=
-            m.avgWriteLatencyNs * ios * (1.0 - read_share);
-        writes += ios * (1.0 - read_share);
-
-        const auto span = static_cast<double>(m.makespan);
-        span_weight += span;
-        util += m.chipUtilizationPct * span;
-        flash_util += m.flashLevelUtilizationPct * span;
-        inter_idle += m.interChipIdlenessPct * span;
-        intra_idle += m.intraChipIdlenessPct * span;
-        exec_bus += m.execBusPct * span;
-        exec_cont += m.execContentionPct * span;
-        exec_cell += m.execCellPct * span;
-        exec_idle += m.execIdlePct * span;
-        for (std::size_t i = 0; i < flp.size(); ++i)
-            flp[i] += m.flpPct[i] * static_cast<double>(m.requestsServed);
-    }
-
-    if (agg.iosCompleted > 0) {
-        const auto total = static_cast<double>(agg.iosCompleted);
-        agg.avgLatencyNs = weighted_lat / total;
-        agg.p50LatencyNs = static_cast<Tick>(weighted_p50 / total);
-        agg.p95LatencyNs = static_cast<Tick>(weighted_p95 / total);
-        agg.p99LatencyNs = static_cast<Tick>(weighted_p99 / total);
-    }
-    if (reads > 0.0)
-        agg.avgReadLatencyNs = weighted_read_lat / reads;
-    if (writes > 0.0)
-        agg.avgWriteLatencyNs = weighted_write_lat / writes;
-    if (span_weight > 0.0) {
-        agg.chipUtilizationPct = util / span_weight;
-        agg.flashLevelUtilizationPct = flash_util / span_weight;
-        agg.interChipIdlenessPct = inter_idle / span_weight;
-        agg.intraChipIdlenessPct = intra_idle / span_weight;
-        agg.execBusPct = exec_bus / span_weight;
-        agg.execContentionPct = exec_cont / span_weight;
-        agg.execCellPct = exec_cell / span_weight;
-        agg.execIdlePct = exec_idle / span_weight;
-    }
-    if (agg.requestsServed > 0) {
-        for (std::size_t i = 0; i < flp.size(); ++i) {
-            agg.flpPct[i] =
-                flp[i] / static_cast<double>(agg.requestsServed);
-        }
-    }
-
-    // Per-stream merge: streams are matched by name across devices
-    // (order of first appearance). Counters and rates sum, mean and
-    // p99 latency are I/O-weighted, max latency takes the maximum.
-    std::vector<double> stream_lat;
-    std::vector<double> stream_p99;
-    for (const auto &m : devices) {
-        for (const auto &s : m.streams) {
-            std::size_t idx = agg.streams.size();
-            for (std::size_t i = 0; i < agg.streams.size(); ++i) {
-                if (agg.streams[i].name == s.name) {
-                    idx = i;
-                    break;
-                }
-            }
-            if (idx == agg.streams.size()) {
-                agg.streams.emplace_back();
-                agg.streams.back().name = s.name;
-                stream_lat.push_back(0.0);
-                stream_p99.push_back(0.0);
-            }
-            StreamMetrics &t = agg.streams[idx];
-            t.iosSubmitted += s.iosSubmitted;
-            t.iosCompleted += s.iosCompleted;
-            t.bytesRead += s.bytesRead;
-            t.bytesWritten += s.bytesWritten;
-            t.queueStallTime += s.queueStallTime;
-            t.bandwidthKBps += s.bandwidthKBps;
-            t.iops += s.iops;
-            t.maxLatencyNs = std::max(t.maxLatencyNs, s.maxLatencyNs);
-            const auto ios = static_cast<double>(s.iosCompleted);
-            stream_lat[idx] += s.avgLatencyNs * ios;
-            stream_p99[idx] +=
-                static_cast<double>(s.p99LatencyNs) * ios;
-        }
-    }
-    for (std::size_t i = 0; i < agg.streams.size(); ++i) {
-        StreamMetrics &t = agg.streams[i];
-        if (t.iosCompleted > 0) {
-            const auto total = static_cast<double>(t.iosCompleted);
-            t.avgLatencyNs = stream_lat[i] / total;
-            t.p99LatencyNs = static_cast<Tick>(stream_p99[i] / total);
-        }
-    }
-    return agg;
+        return {};
+    std::vector<const MetricsSnapshot *> parts;
+    parts.reserve(devices.size());
+    for (const MetricsSnapshot &m : devices)
+        parts.push_back(&m);
+    return mergeParts(parts);
 }
 
 } // namespace spk

@@ -1,8 +1,5 @@
 #include "sim/stats.hh"
 
-#include <algorithm>
-#include <bit>
-
 #include "sim/logging.hh"
 
 namespace spk
@@ -52,91 +49,6 @@ BusyTracker::reset()
     depth_ = 0;
     busyStart_ = 0;
     accumulated_ = 0;
-}
-
-namespace
-{
-
-int
-bucketFor(Tick value)
-{
-    if (value == 0)
-        return 0;
-    return std::bit_width(value) - 1;
-}
-
-} // namespace
-
-void
-Histogram::add(Tick value)
-{
-    buckets_[bucketFor(value)]++;
-    ++count_;
-    sum_ += value;
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
-}
-
-double
-Histogram::mean() const
-{
-    if (count_ == 0)
-        return 0.0;
-    return static_cast<double>(sum_) / static_cast<double>(count_);
-}
-
-Tick
-Histogram::quantile(double q) const
-{
-    if (count_ == 0)
-        return 0;
-    q = std::clamp(q, 0.0, 1.0);
-    const auto target =
-        static_cast<std::uint64_t>(q * static_cast<double>(count_ - 1));
-    std::uint64_t seen = 0;
-    for (int i = 0; i < kBuckets; ++i) {
-        seen += buckets_[i];
-        if (seen > target) {
-            // Upper bound of bucket i.
-            return i >= 63 ? kTickMax : (Tick{2} << i) - 1;
-        }
-    }
-    return max_;
-}
-
-void
-Histogram::merge(const Histogram &other)
-{
-    for (int i = 0; i < kBuckets; ++i)
-        buckets_[i] += other.buckets_[i];
-    count_ += other.count_;
-    sum_ += other.sum_;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-}
-
-void
-Histogram::reset()
-{
-    buckets_.fill(0);
-    count_ = 0;
-    sum_ = 0;
-    min_ = kTickMax;
-    max_ = 0;
-}
-
-void
-RunningAverage::add(double v)
-{
-    sum_ += v;
-    ++count_;
-}
-
-void
-RunningAverage::reset()
-{
-    sum_ = 0.0;
-    count_ = 0;
 }
 
 } // namespace spk

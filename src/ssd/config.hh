@@ -19,6 +19,7 @@
 #include "ftl/ftl.hh"
 #include "sched/nvmhc.hh"
 #include "sched/scheduler.hh"
+#include "sim/field_table.hh"
 #include "sim/types.hh"
 #include "ssd/gc_manager.hh"
 
@@ -55,7 +56,18 @@ struct ParityConfig
     void validate(const FlashGeometry &geo) const;
 
     bool operator==(const ParityConfig &) const = default;
+
+    /** Field table (sim/field_table.hh): every member, in order. */
+    template <typename F>
+    static constexpr void forEachField(F &&f)
+    {
+        using C = ParityConfig;
+        visitFields(f, &C::enabled, &C::flushWindow,
+                    &C::rebuildPageInterval);
+    }
 };
+
+static_assert(fieldTableCovers<ParityConfig>());
 
 /** Full device configuration. */
 struct SsdConfig
@@ -101,7 +113,20 @@ struct SsdConfig
 
     /** Validate all nested configs; fatal() on error. */
     void validate() const;
+
+    /** Field table (sim/field_table.hh): every member, in order. */
+    template <typename F>
+    static constexpr void forEachField(F &&f)
+    {
+        using C = SsdConfig;
+        visitFields(f, &C::geometry, &C::timing, &C::ftl, &C::nvmhc,
+                    &C::fault, &C::parity, &C::scheduler, &C::faroWindow,
+                    &C::decisionWindow, &C::gcMaxLiveBatchesPerPlane,
+                    &C::seed);
+    }
 };
+
+static_assert(fieldTableCovers<SsdConfig>());
 
 } // namespace spk
 

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "flash/fault_model.hh"
+#include "sim/field_table.hh"
 #include "sim/types.hh"
 
 namespace spk
@@ -46,7 +47,30 @@ struct StreamMetrics
     Tick maxLatencyNs = 0;
 
     bool operator==(const StreamMetrics &) const = default;
+
+    /** Field table (sim/field_table.hh): CSV column and merge rule
+     *  of every member, in order. */
+    template <typename F>
+    static constexpr void forEachField(F &&f)
+    {
+        using S = StreamMetrics;
+        using enum Merge;
+        visitFields(f,
+            metric<Key>(&S::name, "stream"),
+            metric<Sum>(&S::iosSubmitted, "ios_submitted"),
+            metric<Sum>(&S::iosCompleted, "ios"),
+            metric<Sum>(&S::bytesRead, "bytes_read"),
+            metric<Sum>(&S::bytesWritten, "bytes_written"),
+            metric<Sum>(&S::queueStallTime, "queue_stall_ns"),
+            metric<Sum>(&S::bandwidthKBps, "bandwidth_kbps"),
+            metric<Sum>(&S::iops, "iops"),
+            metric<IoWeightedMean>(&S::avgLatencyNs, "avg_latency_ns"),
+            metric<IoWeightedMean>(&S::p99LatencyNs, "p99_ns"),
+            metric<Max>(&S::maxLatencyNs, "max_ns"));
+    }
 };
+
+static_assert(fieldTableCovers<StreamMetrics>());
 
 /** Everything measured over one run. */
 struct MetricsSnapshot
@@ -189,7 +213,88 @@ struct MetricsSnapshot
 
     /** Exact (bit-level) comparison; used by determinism tests. */
     bool operator==(const MetricsSnapshot &) const = default;
+
+    /** Field table (sim/field_table.hh): CSV columns and merge rule
+     *  of every member, in order. The cache payload, the fleet merge
+     *  and the CSV follow it: a new metric is one new row. */
+    template <typename F>
+    static constexpr void forEachField(F &&f)
+    {
+        using M = MetricsSnapshot;
+        using enum Merge;
+        visitFields(f,
+            metric<SameOrMixed>(&M::scheduler),
+            metric<Max>(&M::makespan, "makespan_ns"),
+            metric<Sum>(&M::deviceActiveTime, "device_active_ns"),
+            metric<Sum>(&M::iosCompleted, "ios"),
+            metric<Sum>(&M::bytesRead, "bytes_read"),
+            metric<Sum>(&M::bytesWritten, "bytes_written"),
+            metric<Sum>(&M::bandwidthKBps, "bandwidth_kbps"),
+            metric<Sum>(&M::iops, "iops"),
+            metric<IoWeightedMean>(&M::avgLatencyNs, "avg_latency_ns"),
+            metric<IoWeightedMean>(&M::p50LatencyNs, "p50_ns"),
+            metric<IoWeightedMean>(&M::p95LatencyNs, "p95_ns"),
+            metric<IoWeightedMean>(&M::p99LatencyNs, "p99_ns"),
+            metric<Max>(&M::maxLatencyNs, "max_ns"),
+            metric<ReadShareWeightedMean>(&M::avgReadLatencyNs,
+                                          "avg_read_ns"),
+            metric<WriteShareWeightedMean>(&M::avgWriteLatencyNs,
+                                           "avg_write_ns"),
+            metric<Sum>(&M::queueStallTime, "queue_stall_ns"),
+            metric<MakespanWeightedMean>(&M::chipUtilizationPct,
+                                         "chip_util_pct"),
+            metric<MakespanWeightedMean>(&M::flashLevelUtilizationPct,
+                                         "flash_util_pct"),
+            metric<MakespanWeightedMean>(&M::interChipIdlenessPct,
+                                         "inter_idle_pct"),
+            metric<MakespanWeightedMean>(&M::intraChipIdlenessPct,
+                                         "intra_idle_pct"),
+            metric<RequestsWeightedMean>(&M::flpPct, "flp_non",
+                                         "flp_pal1", "flp_pal2",
+                                         "flp_pal3"),
+            metric<Sum>(&M::transactions, "transactions"),
+            metric<Sum>(&M::requestsServed, "requests"),
+            metric<MakespanWeightedMean>(&M::execBusPct, "exec_bus_pct"),
+            metric<MakespanWeightedMean>(&M::execContentionPct,
+                                         "exec_cont_pct"),
+            metric<MakespanWeightedMean>(&M::execCellPct,
+                                         "exec_cell_pct"),
+            metric<MakespanWeightedMean>(&M::execIdlePct,
+                                         "exec_idle_pct"),
+            metric<Sum>(&M::staleRetries, "stale_retries"),
+            metric<Sum>(&M::gcBatches, "gc_batches"),
+            metric<Sum>(&M::pagesMigrated, "pages_migrated"),
+            metric<Sum>(&M::readRetries, "read_retries"),
+            metric<Sum>(&M::readRetriesByStep),
+            metric<Sum>(&M::uncorrectableReads, "uncorrectable_reads"),
+            metric<Sum>(&M::programFailures, "program_failures"),
+            metric<Sum>(&M::programRemaps, "program_remaps"),
+            metric<Sum>(&M::eraseFailures, "erase_failures"),
+            metric<Sum>(&M::blocksRetiredWear, "blocks_retired_wear"),
+            metric<Sum>(&M::blocksRetiredProgram,
+                        "blocks_retired_program"),
+            metric<Sum>(&M::blocksRetiredErase, "blocks_retired_erase"),
+            metric<Sum>(&M::failedIos, "failed_ios"),
+            metric<Sum>(&M::degradedDies, "degraded_dies"),
+            metric<Sum>(&M::parityUpdates, "parity_updates"),
+            metric<Sum>(&M::parityFullStripeCloses, "parity_full_closes"),
+            metric<Sum>(&M::parityPartialCloses, "parity_partial_closes"),
+            metric<Sum>(&M::parityRmwReads, "parity_rmw_reads"),
+            metric<Sum>(&M::reconstructedReads, "reconstructed_reads"),
+            metric<Sum>(&M::reconstructionReads, "reconstruction_reads"),
+            metric<Sum>(&M::rebuildPagesTotal, "rebuild_pages_total"),
+            metric<Sum>(&M::rebuildPagesRebuilt, "rebuild_pages_rebuilt"),
+            metric<Sum>(&M::softDecodeInvocations,
+                        "soft_decode_invocations"),
+            metric<Sum>(&M::softDecodeFailures, "soft_decode_failures"),
+            metric<Sum>(&M::softDecodeBusyTime, "soft_decode_busy_ns"),
+            metric<Sum>(&M::softDecodeStallTime, "soft_decode_stall_ns"),
+            metric<Sum>(&M::gcReadFailures, "gc_read_failures"),
+            metric<ByStreamName>(&M::streams));
+    }
 };
+
+static_assert(fieldTableCovers<MetricsSnapshot>());
 
 std::ostream &operator<<(std::ostream &os, const MetricsSnapshot &m);
 

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
@@ -294,6 +295,47 @@ TEST(SweepGolden, CsvEmitsHeaderAndOneRowPerCell)
     }
     EXPECT_EQ(rows, sweep->cellCount());
     EXPECT_EQ(rows, 20u);
+
+    // Every row of both CSVs has as many columns as its header. The
+    // stream CSV needs a multi-stream cell: one cell, two streams.
+    const auto columns = [](const std::string &l) {
+        return std::count(l.begin(), l.end(), ',') + 1;
+    };
+    SweepAxes one;
+    one.traces = {"hm0"};
+    one.schedulers = {SchedulerKind::SPK3};
+    one.seeds = {kSeeds[0]};
+    SweepRunner streams(one, [](const SweepPoint &p) {
+        DeviceJob job;
+        job.cfg = goldenConfig(p.scheduler, p.seed);
+        const std::uint64_t span = job.cfg.geometry.totalPages() *
+                                   job.cfg.geometry.pageSizeBytes / 2;
+        for (const std::uint64_t s : {0, 1}) {
+            HostStreamConfig stream;
+            stream.name = "s" + std::to_string(s);
+            stream.trace = generatePaperTrace(p.trace, kIosPerCell / 2,
+                                              span, p.seed + s);
+            job.streams.push_back(std::move(stream));
+        }
+        return job;
+    });
+    streams.run(1);
+    for (const bool per_stream : {false, true}) {
+        std::ostringstream csv;
+        if (per_stream)
+            streams.writeStreamCsv(csv);
+        else
+            sweep->writeCsv(csv);
+        std::istringstream lines(csv.str());
+        ASSERT_TRUE(std::getline(lines, line));
+        const auto width = columns(line);
+        std::size_t n = 0;
+        while (std::getline(lines, line)) {
+            ++n;
+            EXPECT_EQ(columns(line), width) << line;
+        }
+        EXPECT_EQ(n, per_stream ? 2u : 20u);
+    }
 }
 
 TEST(SweepGolden, UnknownAxisValueDies)

@@ -11,6 +11,7 @@
 #include <bit>
 #include <filesystem>
 #include <fstream>
+#include <type_traits>
 
 #include "sim/cell_cache.hh"
 #include "sim/device_array.hh"
@@ -165,6 +166,22 @@ TEST(CellCacheSerialize, TruncatedOrPaddedPayloadIsRejected)
     EXPECT_FALSE(CellCache::deserialize(payload + "x", out));
 }
 
+/** Call @p f on every scalar config member, recursing into nested
+ *  structs through their field tables. */
+template <typename C, typename F>
+void
+forEachLeaf(C &c, F &&f)
+{
+    C::forEachField([&](auto member) {
+        auto &v = c.*member;
+        using T = std::remove_cvref_t<decltype(v)>;
+        if constexpr (requires { T::forEachField([](auto) {}); })
+            forEachLeaf(v, f);
+        else
+            f(v);
+    });
+}
+
 TEST(CellCacheKey, SensitiveToEveryResultInput)
 {
     const DeviceJob base = smallJob();
@@ -172,41 +189,28 @@ TEST(CellCacheKey, SensitiveToEveryResultInput)
     EXPECT_EQ(key.size(), 32u);
     EXPECT_EQ(key, CellCache::keyOf(base)); // stable
 
+    // Every config field, found by walking the config field tables.
+    SsdConfig probe = base.cfg;
+    std::size_t leaves = 0;
+    forEachLeaf(probe, [&leaves](auto &) { ++leaves; });
+    ASSERT_GT(leaves, 40u);
     DeviceJob j = base;
-    j.cfg.seed += 1;
-    EXPECT_NE(CellCache::keyOf(j), key);
-
-    j = base;
-    j.cfg.scheduler = SchedulerKind::VAS;
-    EXPECT_NE(CellCache::keyOf(j), key);
-
-    j = base;
-    j.cfg.geometry.pagesPerBlock *= 2;
-    EXPECT_NE(CellCache::keyOf(j), key);
-
-    j = base;
-    j.cfg.timing.programSlow += 1;
-    EXPECT_NE(CellCache::keyOf(j), key);
-
-    j = base;
-    j.cfg.ftl.overprovision += 0.01;
-    EXPECT_NE(CellCache::keyOf(j), key);
-
-    j = base;
-    j.cfg.nvmhc.queueDepth += 1;
-    EXPECT_NE(CellCache::keyOf(j), key);
-
-    j = base;
-    j.cfg.fault.readTransientRate = 1e-6;
-    EXPECT_NE(CellCache::keyOf(j), key);
-
-    j = base;
-    j.cfg.parity.enabled = true;
-    EXPECT_NE(CellCache::keyOf(j), key);
-
-    j = base;
-    j.cfg.faroWindow += 1;
-    EXPECT_NE(CellCache::keyOf(j), key);
+    for (std::size_t target = 0; target < leaves; ++target) {
+        j = base;
+        std::size_t at = 0;
+        forEachLeaf(j.cfg, [&](auto &v) {
+            if (at++ != target)
+                return;
+            using T = std::remove_cvref_t<decltype(v)>;
+            if constexpr (std::is_enum_v<T>)
+                v = static_cast<T>(static_cast<int>(v) + 1);
+            else if constexpr (std::is_same_v<T, bool>)
+                v = !v;
+            else
+                v += 1;
+        });
+        EXPECT_NE(CellCache::keyOf(j), key) << "config leaf " << target;
+    }
 
     j = base;
     j.preconditionGc = true;
@@ -225,6 +229,20 @@ TEST(CellCacheKey, SensitiveToEveryResultInput)
     changed[0].offsetBytes += 4096;
     j.trace = std::move(changed);
     EXPECT_NE(CellCache::keyOf(j), key);
+}
+
+TEST(CellCacheKey, SaltedWithTheModelDigest)
+{
+    // A cached cell must never outlive the model code that produced
+    // it: the same job keys differently under another model digest.
+    const DeviceJob job = smallJob();
+    EXPECT_EQ(CellCache::modelDigest().size(), 16u);
+    EXPECT_EQ(CellCache::keyOf(job),
+              CellCache::keyOf(job, CellCache::modelDigest()));
+    EXPECT_NE(CellCache::keyOf(job, "0123456789abcdef"),
+              CellCache::keyOf(job, "0123456789abcdee"));
+    EXPECT_NE(CellCache::keyOf(job, "0123456789abcdef"),
+              CellCache::keyOf(job));
 }
 
 TEST(CellCacheKey, SensitiveToStreamSet)
@@ -298,7 +316,7 @@ TEST(CellCache, CorruptEntryIsAMissNotAnError)
     {
         std::ofstream os(path,
                          std::ios::binary | std::ios::trunc);
-        os << "SPKCEL2\ntruncated";
+        os << "SPKCEL3\ntruncated";
     }
     MetricsSnapshot out;
     EXPECT_FALSE(cache.lookup(job, out));

@@ -12,6 +12,7 @@
 #include <numeric>
 #include <random>
 
+#include "sim/cell_cache.hh"
 #include "sim/device_array.hh"
 #include "sim/estimator.hh"
 #include "workload/synthetic.hh"
@@ -42,6 +43,107 @@ makeJobs(unsigned devices, SchedulerKind kind = SchedulerKind::SPK3)
         jobs.push_back(std::move(job));
     }
     return jobs;
+}
+
+/**
+ * Device @p d of the aggregate pin: every member holds a value that
+ * is distinct across members and across devices, doubles are
+ * non-dyadic so any change in summation order or expression shows in
+ * the low bits, and the two streams swap order on odd devices.
+ */
+MetricsSnapshot
+pinDevice(unsigned d)
+{
+    const double k = d + 1.0;
+    const std::uint64_t u = d + 1;
+    MetricsSnapshot m;
+    m.scheduler = d == 2 ? "VAS" : "SPK3";
+    m.makespan = 900000007ull + 104729 * u * u;
+    m.deviceActiveTime = 700000001ull + 7919 * u;
+    m.iosCompleted = 1009 * u + 3 * d * d;
+    m.bytesRead = 4096ull * (311 + 97 * d);
+    m.bytesWritten = 4096ull * (523 - 61 * d);
+    m.bandwidthKBps = 0.1 * k + 0.2 / k;
+    m.iops = 1.0 / (3.0 * k) + 977.0;
+    m.avgLatencyNs = 12345.0 / 7.0 + 11.0 * k / 3.0;
+    m.p50LatencyNs = 40009 + 17 * u;
+    m.p95LatencyNs = 90001 + 31 * u * u;
+    m.p99LatencyNs = 150001 + 101 * u * u * u;
+    m.maxLatencyNs = 1300021 - 4099 * u;
+    m.avgReadLatencyNs = 5555.0 / 9.0 * k + 0.3;
+    m.avgWriteLatencyNs = 77777.0 / 13.0 - k / 7.0;
+    m.queueStallTime = 3001 + 211 * u;
+    m.chipUtilizationPct = 100.0 / (3.0 + k);
+    m.flashLevelUtilizationPct = 100.0 * k / 17.0;
+    m.interChipIdlenessPct = 7.0 + 1.0 / (11.0 * k);
+    m.intraChipIdlenessPct = 33.0 - k / 19.0;
+    m.flpPct = {10.0 / (7.0 * k), 20.0 / 3.0 + k / 11.0,
+                30.0 - 1.0 / (13.0 * k), 40.0 + k / 23.0};
+    m.transactions = 8009 + 37 * u;
+    m.requestsServed = 12011 + 389 * u * u;
+    m.execBusPct = 12.5 / (k + 0.1);
+    m.execContentionPct = 1.0 / 3.0 + k / 29.0;
+    m.execCellPct = 41.0 - k / 31.0;
+    m.execIdlePct = 19.0 + 1.0 / (37.0 * k);
+    m.staleRetries = 41 + u;
+    m.gcBatches = 43 + 2 * u;
+    m.pagesMigrated = 47 + 3 * u;
+    m.readRetries = 53 + 5 * u;
+    for (std::size_t i = 0; i < m.readRetriesByStep.size(); ++i)
+        m.readRetriesByStep[i] = 59 + 7 * i + 11 * u;
+    m.uncorrectableReads = 61 + 13 * u;
+    m.programFailures = 67 + 17 * u;
+    m.programRemaps = 71 + 19 * u;
+    m.eraseFailures = 73 + 23 * u;
+    m.blocksRetiredWear = 79 + 29 * u;
+    m.blocksRetiredProgram = 83 + 31 * u;
+    m.blocksRetiredErase = 89 + 37 * u;
+    m.failedIos = 97 + 41 * u;
+    m.degradedDies = 101 + 43 * u;
+    m.parityUpdates = 103 + 47 * u;
+    m.parityFullStripeCloses = 107 + 53 * u;
+    m.parityPartialCloses = 109 + 59 * u;
+    m.parityRmwReads = 113 + 61 * u;
+    m.reconstructedReads = 127 + 67 * u;
+    m.reconstructionReads = 131 + 71 * u;
+    m.rebuildPagesTotal = 137 + 73 * u;
+    m.rebuildPagesRebuilt = 139 + 79 * u;
+    m.softDecodeInvocations = 149 + 83 * u;
+    m.softDecodeFailures = 151 + 89 * u;
+    m.softDecodeBusyTime = 157 + 97 * u;
+    m.softDecodeStallTime = 163 + 101 * u;
+    m.gcReadFailures = 167 + 103 * u;
+    for (const std::string name : {"alpha", "beta"}) {
+        const std::uint64_t v = name == "alpha" ? 1 : 2;
+        StreamMetrics s;
+        s.name = name;
+        s.iosSubmitted = 401 * v + 13 * u;
+        s.iosCompleted = 397 * v + 11 * u;
+        s.bytesRead = 8192 * (v + 3 * u);
+        s.bytesWritten = 8192 * (5 * v + u);
+        s.queueStallTime = 1201 * v + 7 * u;
+        s.bandwidthKBps = 0.7 * v / k + 0.1;
+        s.iops = 1.0 / (7.0 * v) + k / 3.0;
+        s.avgLatencyNs = 4321.0 / (v + k) + 0.2;
+        s.p99LatencyNs = 250013 * v + 1999 * u;
+        s.maxLatencyNs = 600011 * v - 3001 * u;
+        m.streams.push_back(s);
+    }
+    if (d % 2 == 1)
+        std::swap(m.streams[0], m.streams[1]);
+    return m;
+}
+
+/** FNV-1a over a byte string. */
+std::uint64_t
+fnv1a(const std::string &bytes)
+{
+    std::uint64_t h = 1469598103934665603ull;
+    for (const char c : bytes) {
+        h ^= static_cast<std::uint8_t>(c);
+        h *= 1099511628211ull;
+    }
+    return h;
 }
 
 TEST(DeviceArray, ShardedMatchesSequentialBitForBit)
@@ -134,6 +236,24 @@ TEST(DeviceArray, AggregateSumsCountersAndWeightsMeans)
     }
     EXPECT_GE(fleet.avgLatencyNs, lo);
     EXPECT_LE(fleet.avgLatencyNs, hi);
+}
+
+TEST(DeviceArray, AggregateOfEveryFieldIsPinned)
+{
+    // Pins the fleet merge of every member, stream slices included,
+    // through the exact bytes of the cache payload: a changed merge
+    // rule, summation order or floating-point expression anywhere in
+    // aggregate() moves this digest.
+    std::vector<MetricsSnapshot> devices;
+    for (unsigned d = 0; d < 3; ++d)
+        devices.push_back(pinDevice(d));
+    const MetricsSnapshot fleet = DeviceArray::aggregate(devices);
+    EXPECT_EQ(fleet.scheduler, "mixed");
+    ASSERT_EQ(fleet.streams.size(), 2u);
+    EXPECT_EQ(fleet.streams[0].name, "alpha");
+    EXPECT_EQ(fleet.streams[1].name, "beta");
+    EXPECT_EQ(fnv1a(CellCache::serialize(fleet)), 0xd4b3ba12527a7202ull)
+        << std::hex << fnv1a(CellCache::serialize(fleet));
 }
 
 TEST(DeviceArray, MixedSchedulersReportMixed)
