@@ -15,9 +15,6 @@
  *                  identical config/trace/seed/fidelity are served
  *                  from DIR instead of re-simulated, bit-identically.
  *                  Hit-rate is reported in the stderr footer.
- *   --order P      cell claim order: cost (default, longest-job-first
- *                  by the analytic estimator) or expansion. Affects
- *                  wall-clock only; results are indexed by cell.
  *
  * Every sweep also prints a parseable stderr footer with the run
  * makespan, per-worker busy times and thread imbalance (and cache
@@ -61,8 +58,6 @@ struct BenchCli
     Fidelity fidelity = Fidelity::Exact;
     /** Cell-cache directory; empty disables the cache. */
     std::string cacheDir;
-    /** Cell claim order: "cost" (default) or "expansion". */
-    std::string order = "cost";
 };
 
 inline unsigned
@@ -79,7 +74,6 @@ usage(const char *prog, int exit_code)
         stderr,
         "usage: %s [--threads N] [--filter SUBSTR] [--csv PATH]\n"
         "          [--fidelity exact|fast] [--cache DIR]\n"
-        "          [--order cost|expansion]\n"
         "  --threads N   sweep worker threads (default: %u);\n"
         "                results are identical at any thread count\n"
         "  --filter S    keep axis values containing S "
@@ -89,9 +83,7 @@ usage(const char *prog, int exit_code)
         "                fast: analytic estimator (calibrated, "
         "approximate)\n"
         "  --cache DIR   persistent cell cache: serve already-\n"
-        "                simulated cells from DIR, bit-identically\n"
-        "  --order P     cell claim order: cost (longest-job-first,\n"
-        "                default) or expansion; wall-clock only\n",
+        "                simulated cells from DIR, bit-identically\n",
         prog, defaultThreads());
     std::exit(exit_code);
 }
@@ -133,15 +125,6 @@ parseCli(int argc, char **argv)
             }
         } else if (std::strcmp(argv[i], "--cache") == 0) {
             cli.cacheDir = needsValue("--cache");
-        } else if (std::strcmp(argv[i], "--order") == 0) {
-            cli.order = needsValue("--order");
-            if (cli.order != "cost" && cli.order != "expansion") {
-                std::fprintf(stderr,
-                             "%s: --order must be cost or expansion "
-                             "(got %s)\n",
-                             argv[0], cli.order.c_str());
-                usage(argv[0], 2);
-            }
         } else if (std::strcmp(argv[i], "--help") == 0 ||
                    std::strcmp(argv[i], "-h") == 0) {
             usage(argv[0], 0);
@@ -246,8 +229,6 @@ runSweep(SweepRunner &sweep, const BenchCli &cli,
     SweepRunner::Progress progress;
     progress.stop = &stopFlag();
     progress.cache = processCache(cli.cacheDir);
-    if (cli.order == "expansion")
-        progress.order = expansionOrder();
     const bool show_progress = isatty(fileno(stderr)) != 0;
     if (show_progress) {
         progress.onCellDone = [](std::size_t done, std::size_t total,

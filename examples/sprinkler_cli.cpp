@@ -12,10 +12,12 @@
  *   $ ./sprinkler_cli --trace-file msr.csv --sched pas --gc
  */
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -89,6 +91,30 @@ usage()
         "  --help              this text\n");
 }
 
+/**
+ * The one parser for numeric options: all of @p text must be a
+ * non-negative number that fits in T. Empty input, trailing junk,
+ * signs, non-finite values and out-of-range values fatal().
+ */
+template <typename T>
+T
+parseNumber(const std::string &flag, const char *text)
+{
+    const char *end = text + std::strlen(text);
+    T value{};
+    const auto [ptr, ec] = std::from_chars(text, end, value);
+    if (ec == std::errc::result_out_of_range)
+        spk::fatal(flag + ": value out of range: '" + text + "'");
+    bool ok = ec == std::errc{} && ptr == end;
+    if constexpr (std::is_floating_point_v<T>)
+        ok = ok && std::isfinite(value) && value >= 0.0;
+    if (!ok) {
+        spk::fatal(flag + ": expected a non-negative number, got '" +
+                   text + "'");
+    }
+    return value;
+}
+
 bool
 parseArgs(int argc, char **argv, Options &opt)
 {
@@ -98,6 +124,16 @@ parseArgs(int argc, char **argv, Options &opt)
             return nullptr;
         }
         return argv[++i];
+    };
+    // Reads the next argument into a numeric option field.
+    auto number = [&](int &i, auto &field) -> bool {
+        const std::string flag = argv[i];
+        const char *text = need(i);
+        if (text == nullptr)
+            return false;
+        field = parseNumber<std::remove_reference_t<decltype(field)>>(
+            flag, text);
+        return true;
     };
 
     for (int i = 1; i < argc; ++i) {
@@ -114,34 +150,27 @@ parseArgs(int argc, char **argv, Options &opt)
                 return false;
             opt.sched = val;
         } else if (arg == "--chips") {
-            if (!(val = need(i)))
+            if (!number(i, opt.chips))
                 return false;
-            opt.chips = static_cast<std::uint32_t>(std::strtoul(val, nullptr, 10));
         } else if (arg == "--queue-depth") {
-            if (!(val = need(i)))
+            if (!number(i, opt.queueDepth))
                 return false;
-            opt.queueDepth = static_cast<std::uint32_t>(std::strtoul(val, nullptr, 10));
         } else if (arg == "--faro-window") {
-            if (!(val = need(i)))
+            if (!number(i, opt.faroWindow))
                 return false;
-            opt.faroWindow = static_cast<std::uint32_t>(std::strtoul(val, nullptr, 10));
         } else if (arg == "--blocks") {
-            if (!(val = need(i)))
+            if (!number(i, opt.blocksPerPlane))
                 return false;
-            opt.blocksPerPlane = static_cast<std::uint32_t>(std::strtoul(val, nullptr, 10));
         } else if (arg == "--pages") {
-            if (!(val = need(i)))
+            if (!number(i, opt.pagesPerBlock))
                 return false;
-            opt.pagesPerBlock = static_cast<std::uint32_t>(std::strtoul(val, nullptr, 10));
         } else if (arg == "--allocation") {
             if (!(val = need(i)))
                 return false;
             opt.allocation = val;
         } else if (arg == "--wear-level") {
-            if (!(val = need(i)))
+            if (!number(i, opt.wearLevel))
                 return false;
-            opt.wearLevel = static_cast<std::uint32_t>(
-                std::strtoul(val, nullptr, 10));
         } else if (arg == "--workload") {
             if (!(val = need(i)))
                 return false;
@@ -151,33 +180,26 @@ parseArgs(int argc, char **argv, Options &opt)
                 return false;
             opt.traceFile = val;
         } else if (arg == "--ios") {
-            if (!(val = need(i)))
+            if (!number(i, opt.ios))
                 return false;
-            opt.ios = std::strtoull(val, nullptr, 10);
         } else if (arg == "--read-frac") {
-            if (!(val = need(i)))
+            if (!number(i, opt.readFrac))
                 return false;
-            opt.readFrac = std::strtod(val, nullptr);
         } else if (arg == "--size") {
-            if (!(val = need(i)))
+            if (!number(i, opt.sizeBytes))
                 return false;
-            opt.sizeBytes = std::strtoull(val, nullptr, 10);
         } else if (arg == "--randomness") {
-            if (!(val = need(i)))
+            if (!number(i, opt.randomness))
                 return false;
-            opt.randomness = std::strtod(val, nullptr);
         } else if (arg == "--locality") {
-            if (!(val = need(i)))
+            if (!number(i, opt.locality))
                 return false;
-            opt.locality = std::strtod(val, nullptr);
         } else if (arg == "--interarrival") {
-            if (!(val = need(i)))
+            if (!number(i, opt.interarrivalNs))
                 return false;
-            opt.interarrivalNs = std::strtoull(val, nullptr, 10);
         } else if (arg == "--seed") {
-            if (!(val = need(i)))
+            if (!number(i, opt.seed))
                 return false;
-            opt.seed = std::strtoull(val, nullptr, 10);
         } else {
             std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
             return false;

@@ -70,6 +70,10 @@ struct MemoryRequest
     /** Intrusive link for the NVMHC's per-LPN hazard chain. */
     MemoryRequest *lpnNext = nullptr;
 
+    /** Intrusive links for the NVMHC's per-chip pending index. */
+    MemoryRequest *chipPrev = nullptr;
+    MemoryRequest *chipNext = nullptr;
+
     /** Intrusive free-list link while recycled in a Slab arena. */
     MemoryRequest *slabNext = nullptr;
 

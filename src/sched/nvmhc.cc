@@ -19,7 +19,8 @@ Nvmhc::Nvmhc(EventQueue &events, const FlashGeometry &geo, Ftl &ftl,
       sched_(std::move(sched)),
       cfg_(cfg),
       onIoComplete_(std::move(on_io_complete)),
-      arena_(arena)
+      arena_(arena),
+      pending_(geo_.numChips())
 {
     if (controllers_.size() != geo_.numChannels)
         fatal("Nvmhc: need one flash controller per channel");
@@ -28,6 +29,7 @@ Nvmhc::Nvmhc(EventQueue &events, const FlashGeometry &geo, Ftl &ftl,
 
     ctx_.geo = &geo_;
     ctx_.queue = &queue_;
+    ctx_.pending = &pending_;
     ctx_.view = this;
 
     // Single default submission queue until configureStreams() says
@@ -47,17 +49,13 @@ Nvmhc::Nvmhc(EventQueue &events, const FlashGeometry &geo, Ftl &ftl,
         freeTags_.push_back(tag - 1);
     queue_.reserve(cfg_.queueDepth);
 
-    // Flat per-chip lookup tables so a scheduler poll is two loads.
+    // Flat per-chip lookup table so a scheduler poll is two loads.
     const std::uint32_t n_chips = geo_.numChips();
-    ctrlByChip_.reserve(n_chips);
-    offsetByChip_.reserve(n_chips);
+    routes_.reserve(n_chips);
     for (std::uint32_t chip = 0; chip < n_chips; ++chip) {
-        ctrlByChip_.push_back(controllers_[geo_.channelOfChip(chip)]);
-        offsetByChip_.push_back(geo_.chipOffsetOfChip(chip));
+        routes_.push_back({controllers_[geo_.channelOfChip(chip)],
+                           geo_.chipOffsetOfChip(chip)});
     }
-
-    // Let the strategy pre-size its per-chip state (warm start).
-    sched_->prepare(n_chips, cfg_.queueDepth);
 }
 
 void
@@ -90,19 +88,20 @@ Nvmhc::configureStreams(const std::vector<StreamInfo> &infos)
 std::uint32_t
 Nvmhc::outstanding(std::uint32_t chip) const
 {
-    return ctrlByChip_[chip]->outstanding(offsetByChip_[chip]);
+    return routes_[chip].ctrl->outstanding(routes_[chip].offset);
 }
 
 std::uint32_t
 Nvmhc::outstandingOthers(std::uint32_t chip, TagId tag) const
 {
-    return ctrlByChip_[chip]->outstandingOthers(offsetByChip_[chip], tag);
+    return routes_[chip].ctrl->outstandingOthers(routes_[chip].offset,
+                                                 tag);
 }
 
 FlashController &
 Nvmhc::controllerFor(std::uint32_t chip)
 {
-    return *ctrlByChip_[chip];
+    return *routes_[chip].ctrl;
 }
 
 void
@@ -214,12 +213,12 @@ Nvmhc::enqueue(const PendingSubmission &sub)
         req->lpn = (sub.firstLpn + i) % logical;
         translate(*req);
         lpnChain_.pushBack(req->lpn, req);
+        pending_.pushBack(req);
         io->pages.push_back(req);
     }
 
     IoRequest *raw = io;
     queue_.push_back(raw);
-    sched_->onEnqueue(*raw);
     if (afterEnqueue_)
         afterEnqueue_();
     pump();
@@ -308,7 +307,7 @@ Nvmhc::composeDone(MemoryRequest *req)
         panic("Nvmhc::composeDone orphan request");
     ++streamStats_[slots_[req->tag].streamId].requestsComposed;
     slots_[req->tag].composedCount++;
-    sched_->onComposed(*req);
+    pending_.unlink(req);
 
     controllerFor(req->chip).commit(req);
     engineBusy_ = false;
@@ -422,7 +421,6 @@ Nvmhc::finishRequestTail(MemoryRequest *req, IoRequest *io)
     if (!io->clearBit(req->idxInIo))
         panic("Nvmhc: completion bitmap bit already clear");
     io->finishedCount++;
-    sched_->onFinish(*req);
 
     if (io->done()) {
         io->completed = now;
@@ -474,12 +472,13 @@ Nvmhc::readdress(Lpn lpn, Ppn from, Ppn to)
         const bool in_flight = req->composed || req->composing;
         if (!in_flight && sched_->wantsReaddressing()) {
             // Sprinkler's readdressing callback: retarget before the
-            // request is composed, at no extra flash cost.
-            const std::uint32_t old_chip = req->chip;
+            // request is composed, at no extra flash cost. The request
+            // joins the back of its new chip's pending list.
+            pending_.unlink(req);
             req->ppn = to;
             req->addr = geo_.decompose(to);
             req->chip = geo_.chipOf(to);
-            sched_->onRetarget(*req, old_chip);
+            pending_.pushBack(req);
         } else {
             // Either already executing, or the scheduler has no
             // readdressing support (VAS/PAS): the request runs against

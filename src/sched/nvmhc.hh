@@ -20,6 +20,7 @@
 #include "controller/flash_controller.hh"
 #include "controller/io_request.hh"
 #include "ftl/ftl.hh"
+#include "sched/chip_pending.hh"
 #include "sched/lpn_chain.hh"
 #include "sched/queue_arbiter.hh"
 #include "sched/scheduler.hh"
@@ -105,8 +106,8 @@ struct NvmhcStats
  * request it composes next is the scheduler's decision (this is where
  * VAS / PAS / Sprinkler differ).
  *
- * The NVMHC is the SchedulerView: outstanding counts come from flat
- * per-chip controller lookup tables and the controllers' incremental
+ * The NVMHC is the SchedulerView: outstanding counts come from a flat
+ * per-chip controller lookup table and the controllers' incremental
  * counters, so a scheduler poll never allocates or walks a map.
  */
 class Nvmhc : private SchedulerView
@@ -258,7 +259,7 @@ class Nvmhc : private SchedulerView
         std::uint32_t stream = 0;
     };
 
-    /** Secure a tag and preprocess (translate + bucket) an I/O. */
+    /** Secure a tag and preprocess (translate + index) an I/O. */
     void enqueue(const PendingSubmission &sub);
 
     /** Scrub and return a retired memory request to the arena. */
@@ -330,13 +331,21 @@ class Nvmhc : private SchedulerView
      *  queueDepth x pages-per-I/O. */
     Slab<MemoryRequest> &arena_;
 
-    /** Per-global-chip controller / chip-offset lookup tables. */
-    std::vector<FlashController *> ctrlByChip_;
-    std::vector<std::uint32_t> offsetByChip_;
+    /** Where a global chip lives: its controller and chip offset. */
+    struct ChipRoute
+    {
+        FlashController *ctrl;
+        std::uint32_t offset;
+    };
+    std::vector<ChipRoute> routes_; //!< by global chip
 
     /** Per-LPN pending requests, oldest first (hazard ordering);
      *  intrusive chains, allocation-free at steady state. */
     LpnChainMap lpnChain_;
+
+    /** Per-chip uncomposed host requests, read by the scheduler:
+     *  pushed at enqueue, unlinked at composeDone, moved on retarget. */
+    ChipPendingIndex pending_;
 
     bool engineBusy_ = false;
     BusyTracker active_;

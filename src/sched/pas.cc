@@ -16,21 +16,30 @@ namespace spk
 MemoryRequest *
 PasScheduler::next(SchedulerContext &ctx)
 {
-    for (IoRequest *io : *ctx.queue) {
-        if (io->allComposed())
-            continue;
-        for (MemoryRequest *page : io->pages) {
-            MemoryRequest *req = page;
-            if (req->composed)
-                continue;
+    // The decision is "the first uncomposed request in queue order
+    // that is hazard-free and whose chip holds no other I/O's work".
+    // Request ids follow queue order and PAS never retargets, so every
+    // per-chip pending list is in id order: the answer is the lowest
+    // id among each list's first qualifying entry, and a list stops
+    // being read once its ids pass the best found so far.
+    MemoryRequest *best = nullptr;
+    const std::uint32_t n = ctx.geo->numChips();
+    for (std::uint32_t chip = 0; chip < n; ++chip) {
+        for (MemoryRequest *req = ctx.pending->front(chip);
+             req != nullptr; req = req->chipNext) {
+            if (best != nullptr && req->id > best->id)
+                break;
+            // The O(1) busy-chip test first; schedulable() may walk
+            // the queue for FUA barriers.
+            if (ctx.view->outstandingOthers(chip, req->tag) > 0)
+                continue; // busy chip: skip, commit elsewhere
             if (!ctx.view->schedulable(*req))
                 continue; // hazard: try the next request
-            if (ctx.view->outstandingOthers(req->chip, req->tag) > 0)
-                continue; // busy chip: skip, commit elsewhere
-            return req;
+            best = req;
+            break;
         }
     }
-    return nullptr;
+    return best;
 }
 
 } // namespace spk

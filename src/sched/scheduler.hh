@@ -21,6 +21,7 @@
 #include "controller/io_request.hh"
 #include "flash/geometry.hh"
 #include "flash/mem_request.hh"
+#include "sched/chip_pending.hh"
 
 namespace spk
 {
@@ -68,6 +69,12 @@ struct SchedulerContext
     /** Queue entries in arrival order (oldest first). */
     const RingDeque<IoRequest *> *queue = nullptr;
 
+    /**
+     * Uncomposed host requests per chip, in arrival order (owned and
+     * maintained by the NVMHC; see ChipPendingIndex).
+     */
+    const ChipPendingIndex *pending = nullptr;
+
     /** Device-state queries (owned by the NVMHC). */
     const SchedulerView *view = nullptr;
 };
@@ -78,7 +85,8 @@ struct SchedulerContext
  * next() returns the memory request the NVMHC should compose now, or
  * nullptr when the strategy has nothing eligible (e.g. VAS blocked on
  * a chip conflict). The NVMHC re-polls after every completion and
- * enqueue.
+ * enqueue. Everything a strategy reads -- queue, per-chip index,
+ * device state -- comes through the context.
  */
 class IoScheduler
 {
@@ -92,44 +100,10 @@ class IoScheduler
     virtual MemoryRequest *next(SchedulerContext &ctx) = 0;
 
     /**
-     * One-time warm-start called by the NVMHC before traffic starts:
-     * @p num_chips chips exist and at most @p queue_depth I/Os are
-     * queued at once. Strategies keeping per-chip state pre-size it
-     * here so steady-state scheduling never touches the heap.
+     * Whether the FTL should deliver readdressing callbacks: the NVMHC
+     * then retargets uncomposed reads of migrated pages (Section 4.3),
+     * moving each to the back of its new chip's pending list.
      */
-    virtual void
-    prepare(std::uint32_t num_chips, std::uint32_t queue_depth)
-    {
-        (void)num_chips;
-        (void)queue_depth;
-    }
-
-    /** A new I/O entered the device-level queue (tags secured). */
-    virtual void onEnqueue(IoRequest &io) { (void)io; }
-
-    /**
-     * An uncomposed read was retargeted by live-data migration
-     * (readdressing callback, Section 4.3). Only called when
-     * wantsReaddressing() is true.
-     */
-    virtual void
-    onRetarget(MemoryRequest &req, std::uint32_t old_chip)
-    {
-        (void)req;
-        (void)old_chip;
-    }
-
-    /**
-     * A memory request was composed by the NVMHC engine. Schedulers
-     * holding per-chip indexes must drop the entry here -- the request
-     * may retire (and be freed) any time after this point.
-     */
-    virtual void onComposed(const MemoryRequest &req) { (void)req; }
-
-    /** A memory request finished at the flash level. */
-    virtual void onFinish(const MemoryRequest &req) { (void)req; }
-
-    /** Whether the FTL should deliver readdressing callbacks. */
     virtual bool wantsReaddressing() const { return false; }
 };
 

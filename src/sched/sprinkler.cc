@@ -24,80 +24,13 @@ SprinklerScheduler::name() const
     return rios_ ? "SPK2" : "SPK1";
 }
 
-void
-SprinklerScheduler::ensureBuckets(std::uint32_t chip)
-{
-    if (chip >= buckets_.size())
-        buckets_.resize(chip + 1);
-}
-
-void
-SprinklerScheduler::prepare(std::uint32_t num_chips,
-                            std::uint32_t queue_depth)
-{
-    if (num_chips == 0)
-        return;
-    ensureBuckets(num_chips - 1);
-    // A bucket holds uncomposed requests, bounded by the queued I/Os'
-    // page totals. Pre-carving queue_depth * 8 covers I/Os of up to 8
-    // pages each even when every queued request lands on one chip, so
-    // steady-state bucketing stays off the heap for the paper's trace
-    // shapes (larger I/Os fall back to amortized growth).
-    for (auto &bucket : buckets_)
-        bucket.reserve(std::size_t{queue_depth} * 8);
-}
-
-void
-SprinklerScheduler::onEnqueue(IoRequest &io)
-{
-    // Securing tags: identify physical layout and bucket per chip
-    // without any memory request composition (RIOS step i).
-    for (MemoryRequest *page : io.pages) {
-        ensureBuckets(page->chip);
-        buckets_[page->chip].push_back(page);
-    }
-}
-
-void
-SprinklerScheduler::onRetarget(MemoryRequest &req, std::uint32_t old_chip)
-{
-    if (old_chip < buckets_.size()) {
-        auto &bucket = buckets_[old_chip];
-        auto it = std::find(bucket.begin(), bucket.end(), &req);
-        if (it != bucket.end())
-            bucket.erase(it);
-    }
-    ensureBuckets(req.chip);
-    buckets_[req.chip].push_back(&req);
-}
-
-void
-SprinklerScheduler::onComposed(const MemoryRequest &req)
-{
-    // Drop the entry eagerly: once composed, the request may retire
-    // and be freed at any time, so the bucket must not keep a pointer.
-    if (req.chip >= buckets_.size())
-        return;
-    auto &bucket = buckets_[req.chip];
-    auto it = std::find(bucket.begin(), bucket.end(), &req);
-    if (it != bucket.end())
-        bucket.erase(it);
-}
-
-void
-SprinklerScheduler::compactBucket(std::uint32_t chip)
-{
-    auto &bucket = buckets_[chip];
-    while (!bucket.empty() && bucket.front()->composed)
-        bucket.pop_front();
-}
-
 MemoryRequest *
 SprinklerScheduler::oldest(SchedulerContext &ctx,
                            std::uint32_t chip) const
 {
-    for (MemoryRequest *req : buckets_[chip]) {
-        if (!req->composed && ctx.view->schedulable(*req))
+    for (MemoryRequest *req = ctx.pending->front(chip); req != nullptr;
+         req = req->chipNext) {
+        if (ctx.view->schedulable(*req))
             return req;
     }
     return nullptr;
@@ -108,8 +41,9 @@ SprinklerScheduler::bestSet(SchedulerContext &ctx, std::uint32_t chip,
                             std::vector<MemoryRequest *> &out) const
 {
     candScratch_.clear();
-    for (MemoryRequest *req : buckets_[chip]) {
-        if (!req->composed && ctx.view->schedulable(*req))
+    for (MemoryRequest *req = ctx.pending->front(chip); req != nullptr;
+         req = req->chipNext) {
+        if (ctx.view->schedulable(*req))
             candScratch_.push_back(req);
     }
     bestSetFrom(candScratch_, chip, out);
@@ -204,10 +138,7 @@ SprinklerScheduler::nextRios(SchedulerContext &ctx)
         // channel k % numChannels), so linear traversal is the RIOS
         // visit order: same offset across channels, then next offset.
         const auto chip = static_cast<std::uint32_t>((cursor_ + i) % n);
-        if (chip >= buckets_.size() || buckets_[chip].empty())
-            continue;
-        compactBucket(chip);
-        if (buckets_[chip].empty())
+        if (ctx.pending->front(chip) == nullptr)
             continue;
 
         if (faro_) {

@@ -3,10 +3,11 @@
  * Sprinkler: resource-driven scheduling (RIOS) with FLP-aware request
  * over-commitment (FARO) -- the paper's contribution (Section 4).
  *
- * RIOS buckets every queued memory request by physical chip and
- * composes/commits per chip, traversing chips in channel-stripe order
- * (same chip offset across channels first), fully relaxing the
- * parallelism dependency on I/O arrival order.
+ * RIOS buckets every queued memory request by physical chip (the
+ * NVMHC's per-chip pending index) and composes/commits per chip,
+ * traversing chips in channel-stripe order (same chip offset across
+ * channels first), fully relaxing the parallelism dependency on I/O
+ * arrival order.
  *
  * FARO over-commits multiple requests per chip, choosing the set with
  * the highest overlap depth (requests coalescable into one multi-die /
@@ -50,15 +51,6 @@ class SprinklerScheduler : public IoScheduler
 
     MemoryRequest *next(SchedulerContext &ctx) override;
 
-    void prepare(std::uint32_t num_chips,
-                 std::uint32_t queue_depth) override;
-
-    void onEnqueue(IoRequest &io) override;
-
-    void onRetarget(MemoryRequest &req, std::uint32_t old_chip) override;
-
-    void onComposed(const MemoryRequest &req) override;
-
     /** Sprinkler registers the readdressing callback (Section 4.3). */
     bool wantsReaddressing() const override { return true; }
 
@@ -67,12 +59,6 @@ class SprinklerScheduler : public IoScheduler
     std::uint32_t window() const { return window_; }
 
   private:
-    /** Grow the bucket array to cover chip index @p chip. */
-    void ensureBuckets(std::uint32_t chip);
-
-    /** Drop composed entries from the head of a bucket. */
-    void compactBucket(std::uint32_t chip);
-
     /**
      * Largest coalescable set among @p candidates for @p chip (the
      * highest-overlap-depth group), written into @p out. Ties between
@@ -83,11 +69,11 @@ class SprinklerScheduler : public IoScheduler
                      std::uint32_t chip,
                      std::vector<MemoryRequest *> &out) const;
 
-    /** bestSetFrom over the schedulable entries of a chip's bucket. */
+    /** bestSetFrom over the schedulable pending requests of a chip. */
     void bestSet(SchedulerContext &ctx, std::uint32_t chip,
                  std::vector<MemoryRequest *> &out) const;
 
-    /** Oldest schedulable, uncomposed request in a bucket. */
+    /** Oldest schedulable pending request on a chip. */
     MemoryRequest *oldest(SchedulerContext &ctx, std::uint32_t chip) const;
 
     /** RIOS traversal step; returns a request or nullptr. */
@@ -102,9 +88,6 @@ class SprinklerScheduler : public IoScheduler
     bool rios_;
     bool faro_;
     std::uint32_t window_;
-
-    /** Per-chip uncomposed requests, insertion (arrival) order. */
-    std::vector<RingDeque<MemoryRequest *>> buckets_;
 
     /** RIOS chip traversal cursor. */
     std::uint64_t cursor_ = 0;

@@ -49,16 +49,6 @@ parseFidelity(const std::string &name, Fidelity &out)
 }
 
 CellOrderPolicy
-expansionOrder()
-{
-    return [](const std::vector<DeviceJob> &jobs) {
-        std::vector<std::size_t> order(jobs.size());
-        std::iota(order.begin(), order.end(), std::size_t{0});
-        return order;
-    };
-}
-
-CellOrderPolicy
 costGuidedOrder()
 {
     return [](const std::vector<DeviceJob> &jobs) {

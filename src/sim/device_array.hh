@@ -90,9 +90,6 @@ struct DeviceJob
 using CellOrderPolicy = std::function<std::vector<std::size_t>(
     const std::vector<DeviceJob> &)>;
 
-/** Claim cells in expansion (job-list) order — the legacy behavior. */
-CellOrderPolicy expansionOrder();
-
 /**
  * Longest-job-first: predict each cell's cost with the analytic
  * estimator (trace length, fidelity, preconditioning, fault rate —

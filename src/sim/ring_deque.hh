@@ -8,8 +8,8 @@
  * power-of-two circular buffer that only ever grows: once a queue
  * reaches its high-water mark it never allocates again, which is the
  * property the simulator's steady-state zero-allocation invariant
- * needs (NVMHC device queue, controller pending queues, scheduler
- * buckets, block free lists).
+ * needs (NVMHC device queue, controller pending queues, block free
+ * lists).
  *
  * Supports push/pop at both ends, random-access iteration and
  * erase-by-iterator (linear shift; queues here are short and the

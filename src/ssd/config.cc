@@ -8,6 +8,8 @@ namespace spk
 SsdConfig
 SsdConfig::withChips(std::uint32_t num_chips)
 {
+    if (num_chips == 0)
+        fatal("SsdConfig::withChips: need at least one chip");
     SsdConfig cfg;
     // Keep roughly eight chips per channel as in the paper's platform
     // (64 chips / 8 channels ... 1024 chips / 32 channels follows the

@@ -108,7 +108,8 @@ struct SsdConfig
     /** Deterministic seed for anything stochastic inside the device. */
     std::uint64_t seed = 1;
 
-    /** Convenience: geometry with a given chip count (stripe 1:8). */
+    /** Convenience: geometry with a given chip count (stripe 1:8);
+     *  fatal() on zero chips. */
     static SsdConfig withChips(std::uint32_t num_chips);
 
     /** Validate all nested configs; fatal() on error. */

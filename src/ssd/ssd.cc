@@ -1,6 +1,7 @@
 #include "ssd/ssd.hh"
 
 #include <algorithm>
+#include <numeric>
 
 #include "sim/logging.hh"
 
@@ -358,6 +359,39 @@ Ssd::preconditionForGc(double fill_fraction, double churn_fraction)
     ftl_->precondition(fill_fraction, churn_fraction, rng_);
 }
 
+namespace
+{
+
+/**
+ * Fill the latency fields of @p out (a MetricsSnapshot or a
+ * StreamMetrics) from the sample @p lat, sorting it in place: mean,
+ * max and the nearest-rank quantiles @p out has. No-op when empty.
+ */
+template <typename Metrics>
+void
+summarizeLatency(std::vector<Tick> &lat, Metrics &out)
+{
+    if (lat.empty())
+        return;
+    std::sort(lat.begin(), lat.end());
+    const auto quantile = [&lat](double q) {
+        return lat[static_cast<std::size_t>(
+            q * static_cast<double>(lat.size() - 1))];
+    };
+    out.avgLatencyNs =
+        static_cast<double>(std::accumulate(lat.begin(), lat.end(),
+                                            Tick{0})) /
+        static_cast<double>(lat.size());
+    out.maxLatencyNs = lat.back();
+    out.p99LatencyNs = quantile(0.99);
+    if constexpr (requires { out.p50LatencyNs; }) {
+        out.p50LatencyNs = quantile(0.50);
+        out.p95LatencyNs = quantile(0.95);
+    }
+}
+
+} // namespace
+
 MetricsSnapshot
 Ssd::metrics() const
 {
@@ -382,7 +416,6 @@ Ssd::metrics() const
         m.iops = static_cast<double>(m.iosCompleted) / seconds;
     }
 
-    Tick lat_sum = 0;
     Tick read_sum = 0;
     Tick write_sum = 0;
     std::uint64_t reads = 0;
@@ -391,9 +424,7 @@ Ssd::metrics() const
     latencies.reserve(results_.size());
     for (const auto &res : results_) {
         const Tick lat = res.latency();
-        lat_sum += lat;
         latencies.push_back(lat);
-        m.maxLatencyNs = std::max(m.maxLatencyNs, lat);
         if (res.isWrite) {
             write_sum += lat;
             ++writes;
@@ -402,19 +433,7 @@ Ssd::metrics() const
             ++reads;
         }
     }
-    if (!results_.empty()) {
-        m.avgLatencyNs = static_cast<double>(lat_sum) /
-                         static_cast<double>(results_.size());
-        std::sort(latencies.begin(), latencies.end());
-        const auto quantile = [&](double q) {
-            const auto idx = static_cast<std::size_t>(
-                q * static_cast<double>(latencies.size() - 1));
-            return latencies[idx];
-        };
-        m.p50LatencyNs = quantile(0.50);
-        m.p95LatencyNs = quantile(0.95);
-        m.p99LatencyNs = quantile(0.99);
-    }
+    summarizeLatency(latencies, m);
     if (reads > 0) {
         m.avgReadLatencyNs = static_cast<double>(read_sum) /
                              static_cast<double>(reads);
@@ -564,19 +583,7 @@ Ssd::metrics() const
                 sm.iops =
                     static_cast<double>(sm.iosCompleted) / seconds;
             }
-            auto &ls = lat[sid];
-            if (!ls.empty()) {
-                Tick sum = 0;
-                for (const Tick l : ls) {
-                    sum += l;
-                    sm.maxLatencyNs = std::max(sm.maxLatencyNs, l);
-                }
-                sm.avgLatencyNs = static_cast<double>(sum) /
-                                  static_cast<double>(ls.size());
-                std::sort(ls.begin(), ls.end());
-                sm.p99LatencyNs = ls[static_cast<std::size_t>(
-                    0.99 * static_cast<double>(ls.size() - 1))];
-            }
+            summarizeLatency(lat[sid], sm);
         }
     }
     return m;

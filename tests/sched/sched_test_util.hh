@@ -56,11 +56,16 @@ struct TestSchedulerView : SchedulerView
     }
 };
 
-/** A hand-built device queue plus the context schedulers consume. */
+/**
+ * A hand-built device queue plus the context schedulers consume. The
+ * per-chip pending index is kept the way the NVMHC keeps it: pushed
+ * by addIo, unlinked by compose, moved by retarget.
+ */
 struct SchedHarness
 {
     FlashGeometry geo;
     RingDeque<IoRequest *> queue;
+    ChipPendingIndex pending;
     std::vector<std::unique_ptr<IoRequest>> storage;
     std::vector<std::unique_ptr<MemoryRequest>> reqStorage;
     TestSchedulerView view;
@@ -74,8 +79,10 @@ struct SchedHarness
         geo.chipsPerChannel = 2;
         geo.diesPerChip = 2;
         geo.planesPerDie = 2;
+        pending = ChipPendingIndex(geo.numChips());
         ctx.geo = &geo;
         ctx.queue = &queue;
+        ctx.pending = &pending;
         ctx.view = &view;
     }
 
@@ -110,6 +117,7 @@ struct SchedHarness
             req->addr.block = i;
             req->addr.page = 0;
             req->translated = true;
+            pending.pushBack(req.get());
             io->pages.push_back(req.get());
             reqStorage.push_back(std::move(req));
         }
@@ -119,17 +127,27 @@ struct SchedHarness
     }
 
     /** Mark a request composed (as the NVMHC engine would). */
-    static void
-    compose(MemoryRequest *req, RingDeque<IoRequest *> &q)
+    void
+    compose(MemoryRequest *req)
     {
         req->composed = true;
-        for (IoRequest *io : q) {
+        pending.unlink(req);
+        for (IoRequest *io : queue) {
             if (io->tag == req->tag)
                 io->composedCount++;
         }
     }
 
-    void compose(MemoryRequest *req) { compose(req, queue); }
+    /** Move an uncomposed request to @p chip (readdressing). */
+    void
+    retarget(MemoryRequest *req, std::uint32_t chip)
+    {
+        pending.unlink(req);
+        req->chip = chip;
+        req->addr.channel = geo.channelOfChip(chip);
+        req->addr.chipInChannel = geo.chipOffsetOfChip(chip);
+        pending.pushBack(req);
+    }
 };
 
 } // namespace test

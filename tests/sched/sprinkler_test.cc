@@ -35,9 +35,8 @@ TEST(Sprinkler, RiosTraversesChipsInStripeOrder)
 {
     SchedHarness h;
     // One I/O fanned over chips 2, 0, 1 (out of order on purpose).
-    auto *io = h.addIo({2, 0, 1});
+    h.addIo({2, 0, 1});
     SprinklerScheduler spk2(true, false, 1);
-    spk2.onEnqueue(*io);
 
     // RIOS visits chip 0 first regardless of request order in the I/O.
     MemoryRequest *r = spk2.next(h.ctx);
@@ -56,11 +55,9 @@ TEST(Sprinkler, RiosTraversesChipsInStripeOrder)
 TEST(Sprinkler, RiosCommitsAcrossIoBoundaries)
 {
     SchedHarness h;
-    auto *first = h.addIo({0});
+    h.addIo({0});
     auto *second = h.addIo({1});
     SprinklerScheduler spk2(true, false, 1);
-    spk2.onEnqueue(*first);
-    spk2.onEnqueue(*second);
     h.view.outstandingMap[0] = 1; // chip 0 busy
     // VAS would stall; RIOS simply serves chip 1 from I/O #2.
     MemoryRequest *r = spk2.next(h.ctx);
@@ -71,9 +68,8 @@ TEST(Sprinkler, RiosCommitsAcrossIoBoundaries)
 TEST(Sprinkler, Spk2NoOvercommit)
 {
     SchedHarness h;
-    auto *io = h.addIo({0, 0});
+    h.addIo({0, 0});
     SprinklerScheduler spk2(true, false, 1);
-    spk2.onEnqueue(*io);
     h.view.outstandingMap[0] = 1;
     EXPECT_EQ(spk2.next(h.ctx), nullptr); // won't stack on a busy chip
 }
@@ -81,15 +77,13 @@ TEST(Sprinkler, Spk2NoOvercommit)
 TEST(Sprinkler, FaroOvercommitsUpToWindow)
 {
     SchedHarness h;
-    auto *io = h.addIo({0, 0});
+    h.addIo({0, 0});
     SprinklerScheduler spk3(true, true, 4);
-    spk3.onEnqueue(*io);
     h.view.outstandingMap[0] = 2; // already two outstanding, window is 4
     EXPECT_NE(spk3.next(h.ctx), nullptr);
 
     h.view.outstandingMap[0] = 4; // window reached
     SprinklerScheduler fresh(true, true, 4);
-    fresh.onEnqueue(*io);
     EXPECT_EQ(fresh.next(h.ctx), nullptr);
 }
 
@@ -98,9 +92,8 @@ TEST(Sprinkler, FaroBatchesCoalescableSet)
     SchedHarness h;
     // Four requests to chip 0 on distinct (die, plane) slots; the
     // harness gives them equal page offsets, so all four coalesce.
-    auto *io = h.addIo({0, 0, 0, 0});
+    h.addIo({0, 0, 0, 0});
     SprinklerScheduler spk3(true, true, 8);
-    spk3.onEnqueue(*io);
 
     // The whole batch comes out in consecutive next() calls.
     std::set<const MemoryRequest *> batch;
@@ -120,8 +113,6 @@ TEST(Sprinkler, FaroPrefersDeeperOverlap)
     auto *small = h.addIo({1});           // depth 1 at chip 1
     auto *big = h.addIo({2, 2, 2});       // depth 3 at chip 2
     SprinklerScheduler spk1(false, true, 8);
-    spk1.onEnqueue(*small);
-    spk1.onEnqueue(*big);
     // SPK1 picks the chip with the highest overlap depth first.
     MemoryRequest *r = spk1.next(h.ctx);
     ASSERT_NE(r, nullptr);
@@ -134,14 +125,11 @@ TEST(Sprinkler, ConnectivityBreaksDepthTies)
 {
     SchedHarness h;
     // Chip 1: two requests from two different I/Os (connectivity 1).
-    auto *a = h.addIo({1});
-    auto *b = h.addIo({1});
+    h.addIo({1});
+    h.addIo({1});
     // Chip 2: two requests from one I/O (connectivity 2).
     auto *c = h.addIo({2, 2});
     SprinklerScheduler spk1(false, true, 8);
-    spk1.onEnqueue(*a);
-    spk1.onEnqueue(*b);
-    spk1.onEnqueue(*c);
 
     MemoryRequest *r = spk1.next(h.ctx);
     ASSERT_NE(r, nullptr);
@@ -152,19 +140,19 @@ TEST(Sprinkler, ConnectivityBreaksDepthTies)
 TEST(Sprinkler, RetargetMovesBucket)
 {
     SchedHarness h;
-    auto *io = h.addIo({0});
-    SprinklerScheduler spk3(true, true, 8);
-    spk3.onEnqueue(*io);
+    auto *io = h.addIo({0, 3});
+    SprinklerScheduler spk2(true, false, 1);
+    // The retargeted read leaves chip 0 and queues behind the request
+    // already pending on chip 3.
+    h.retarget(io->pages[0], 3);
 
-    MemoryRequest *req = io->pages[0];
-    const std::uint32_t old_chip = req->chip;
-    req->chip = 3;
-    req->addr.channel = h.geo.channelOfChip(3);
-    req->addr.chipInChannel = h.geo.chipOffsetOfChip(3);
-    spk3.onRetarget(*req, old_chip);
-
-    MemoryRequest *r = spk3.next(h.ctx);
+    MemoryRequest *r = spk2.next(h.ctx);
     ASSERT_NE(r, nullptr);
+    EXPECT_EQ(r, io->pages[1]);
+    h.compose(r);
+    r = spk2.next(h.ctx);
+    ASSERT_NE(r, nullptr);
+    EXPECT_EQ(r, io->pages[0]);
     EXPECT_EQ(r->chip, 3u);
 }
 
@@ -173,7 +161,6 @@ TEST(Sprinkler, SkipsComposedEntries)
     SchedHarness h;
     auto *io = h.addIo({0, 0});
     SprinklerScheduler spk3(true, true, 8);
-    spk3.onEnqueue(*io);
     h.compose(io->pages[0]);
     MemoryRequest *r = spk3.next(h.ctx);
     ASSERT_NE(r, nullptr);

@@ -358,6 +358,15 @@ TEST(DeviceArray, CancellationBeforeStartRunsNothing)
     EXPECT_EQ(array.completedCount(), 0u);
 }
 
+/** Claim cells in job-list (expansion) order. */
+std::vector<std::size_t>
+identityOrder(const std::vector<DeviceJob> &jobs)
+{
+    std::vector<std::size_t> order(jobs.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    return order;
+}
+
 TEST(DeviceArray, RandomShuffledOrdersAreBitIdentical)
 {
     // The cell-order policy redirects which cell a worker claims
@@ -369,7 +378,7 @@ TEST(DeviceArray, RandomShuffledOrdersAreBitIdentical)
     jobs[4].fidelity = Fidelity::Fast;
 
     DeviceArrayHooks expansion;
-    expansion.order = expansionOrder();
+    expansion.order = identityOrder;
     DeviceArray reference(jobs);
     reference.run(1, expansion);
 
@@ -403,7 +412,7 @@ TEST(DeviceArray, CostGuidedDefaultMatchesExpansionOrderResults)
     jobs[2].fidelity = Fidelity::Fast;
 
     DeviceArrayHooks expansion;
-    expansion.order = expansionOrder();
+    expansion.order = identityOrder;
     DeviceArray reference(jobs);
     reference.run(1, expansion);
 

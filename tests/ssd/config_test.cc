@@ -38,6 +38,12 @@ TEST(SsdConfigHelpers, WithChipsHandlesSmallCounts)
     EXPECT_EQ(c1.geometry.numChips(), 1u);
 }
 
+TEST(SsdConfigHelpers, WithChipsRejectsZero)
+{
+    EXPECT_EXIT(SsdConfig::withChips(0), ::testing::ExitedWithCode(1),
+                "need at least one chip");
+}
+
 TEST(SsdConfigHelpers, DefaultsMatchPaperSection51)
 {
     const SsdConfig cfg;
