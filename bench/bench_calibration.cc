@@ -101,17 +101,6 @@ median(std::vector<double> v)
     return m;
 }
 
-/** Scaled-geometry config shared by the fig15/16 reductions. */
-SsdConfig
-sizeSweepConfig(SchedulerKind kind, std::uint32_t chips)
-{
-    SsdConfig cfg = SsdConfig::withChips(chips);
-    cfg.geometry.blocksPerPlane = chips >= 512 ? 6 : 24;
-    cfg.geometry.pagesPerBlock = 32;
-    cfg.scheduler = kind;
-    return cfg;
-}
-
 /** Reduced paperTraceSweep: a trace subset and fewer I/Os per cell,
  *  with the two-fidelity axis attached. */
 std::unique_ptr<SweepRunner>
@@ -235,7 +224,7 @@ exhibits()
                 const auto chips = static_cast<std::uint32_t>(
                     std::stoul(p.variant));
                 DeviceJob job;
-                job.cfg = sizeSweepConfig(p.scheduler, chips);
+                job.cfg = bench::sizeSweepConfig(p.scheduler, chips);
                 const std::uint64_t span =
                     bench::spanFor(job.cfg, 0.5);
                 const std::uint64_t n_ios = std::max<std::uint64_t>(
@@ -258,7 +247,7 @@ exhibits()
             axes, [](const SweepPoint &p) {
                 const auto size_kb = std::stoull(p.trace);
                 DeviceJob job;
-                job.cfg = sizeSweepConfig(p.scheduler, 64);
+                job.cfg = bench::sizeSweepConfig(p.scheduler, 64);
                 const std::uint64_t span =
                     bench::spanFor(job.cfg, 0.5);
                 const std::uint64_t n_ios = std::max<std::uint64_t>(

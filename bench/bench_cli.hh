@@ -42,6 +42,7 @@
 #include <unistd.h>
 
 #include "sim/cell_cache.hh"
+#include "sim/parse_number.hh"
 #include "sim/sweep.hh"
 
 namespace spk
@@ -103,13 +104,13 @@ parseCli(int argc, char **argv)
             return argv[++i];
         };
         if (std::strcmp(argv[i], "--threads") == 0) {
-            const long n = std::atol(needsValue("--threads"));
-            if (n < 1) {
+            cli.threads = parseNumber<unsigned>(
+                "--threads", needsValue("--threads"));
+            if (cli.threads < 1) {
                 std::fprintf(stderr, "%s: --threads must be >= 1\n",
                              argv[0]);
                 usage(argv[0], 2);
             }
-            cli.threads = static_cast<unsigned>(n);
         } else if (std::strcmp(argv[i], "--filter") == 0) {
             cli.filter = needsValue("--filter");
         } else if (std::strcmp(argv[i], "--csv") == 0) {

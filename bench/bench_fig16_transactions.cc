@@ -16,22 +16,6 @@
 #include "bench/bench_cli.hh"
 #include "bench/bench_util.hh"
 
-namespace
-{
-
-spk::SsdConfig
-scaled(spk::SchedulerKind kind, std::uint32_t chips)
-{
-    using namespace spk;
-    SsdConfig cfg = SsdConfig::withChips(chips);
-    cfg.geometry.blocksPerPlane = chips >= 512 ? 6 : 24;
-    cfg.geometry.pagesPerBlock = 32;
-    cfg.scheduler = kind;
-    return cfg;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
@@ -53,7 +37,7 @@ main(int argc, char **argv)
             const auto chips =
                 static_cast<std::uint32_t>(std::stoul(p.variant));
             DeviceJob job;
-            job.cfg = scaled(p.scheduler, chips);
+            job.cfg = bench::sizeSweepConfig(p.scheduler, chips);
             const std::uint64_t span = bench::spanFor(job.cfg, 0.5);
             const std::uint64_t budget = 16ull << 20;
             const std::uint64_t n_ios = std::max<std::uint64_t>(

@@ -58,6 +58,17 @@ evalConfig(SchedulerKind kind, std::uint32_t num_chips = 64)
     return cfg;
 }
 
+/** evalConfig for the chip-count sweeps (Figures 15 and 16): at 512
+ *  chips and up the block count drops to keep the run small. */
+inline SsdConfig
+sizeSweepConfig(SchedulerKind kind, std::uint32_t chips)
+{
+    SsdConfig cfg = evalConfig(kind, chips);
+    if (chips >= 512)
+        cfg.geometry.blocksPerPlane = 6;
+    return cfg;
+}
+
 /** Span that fits comfortably inside the logical capacity. */
 inline std::uint64_t
 spanFor(const SsdConfig &cfg, double fraction = 0.5)

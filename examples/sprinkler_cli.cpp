@@ -12,15 +12,13 @@
  *   $ ./sprinkler_cli --trace-file msr.csv --sched pas --gc
  */
 
-#include <charconv>
-#include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <type_traits>
 #include <vector>
 
 #include "sim/logging.hh"
+#include "sim/parse_number.hh"
 #include "ssd/ssd.hh"
 #include "workload/paper_traces.hh"
 #include "workload/synthetic.hh"
@@ -89,30 +87,6 @@ usage()
         "  --gc                precondition to 95%% full + churn\n"
         "  --csv               machine-readable output\n"
         "  --help              this text\n");
-}
-
-/**
- * The one parser for numeric options: all of @p text must be a
- * non-negative number that fits in T. Empty input, trailing junk,
- * signs, non-finite values and out-of-range values fatal().
- */
-template <typename T>
-T
-parseNumber(const std::string &flag, const char *text)
-{
-    const char *end = text + std::strlen(text);
-    T value{};
-    const auto [ptr, ec] = std::from_chars(text, end, value);
-    if (ec == std::errc::result_out_of_range)
-        spk::fatal(flag + ": value out of range: '" + text + "'");
-    bool ok = ec == std::errc{} && ptr == end;
-    if constexpr (std::is_floating_point_v<T>)
-        ok = ok && std::isfinite(value) && value >= 0.0;
-    if (!ok) {
-        spk::fatal(flag + ": expected a non-negative number, got '" +
-                   text + "'");
-    }
-    return value;
 }
 
 bool

@@ -195,8 +195,6 @@ FlashController::tryLaunch(std::uint32_t chip_offset)
     cs.inFlight += static_cast<std::uint32_t>(txn.size());
     stats_.transactions += 1;
     stats_.requestsServed += txn.size();
-    if (txn.size() > 1)
-        stats_.coalescedRequests += txn.size();
 
     cs.executing.assign(txn.requests().begin(), txn.requests().end());
     for (auto *req : cs.executing)

@@ -37,7 +37,6 @@ struct ControllerStats
 {
     std::uint64_t transactions = 0;
     std::uint64_t requestsServed = 0;
-    std::uint64_t coalescedRequests = 0; //!< served in multi-request txns
 
     /** Read-retry re-issues, total and per ladder step (bin k counts
      *  retries entering step k+1). */

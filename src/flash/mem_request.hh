@@ -12,7 +12,6 @@
 #define SPK_FLASH_MEM_REQUEST_HH
 
 #include <cstdint>
-#include <limits>
 
 #include "flash/geometry.hh"
 #include "sim/types.hh"
@@ -23,9 +22,8 @@ namespace spk
 /** Flash operation kinds a transaction can execute. */
 enum class FlashOp : std::uint8_t { Read, Program, Erase };
 
-/** Sentinel for "not owned by any GC batch". */
-inline constexpr std::uint32_t kInvalidGcBatch =
-    std::numeric_limits<std::uint32_t>::max();
+/** Which subsystem issued a memory request (and gets its completion). */
+enum class RequestOwner : std::uint8_t { Host, Gc, Parity };
 
 /** Printable name of a flash operation. */
 const char *flashOpName(FlashOp op);
@@ -34,14 +32,13 @@ const char *flashOpName(FlashOp op);
  * One page-sized flash memory request.
  *
  * Life cycle ticks are recorded for latency and idleness accounting:
- * composed (NVMHC built it and initiated host data movement),
  * committed (handed to a flash controller), started (entered an
  * executing transaction), finished (transaction completed).
  */
 struct MemoryRequest
 {
-    std::uint64_t id = 0;       //!< globally unique, assigned by NVMHC
-    TagId tag = kInvalidTag;    //!< owning host I/O; kInvalidTag for GC
+    std::uint64_t id = 0;       //!< unique; host/GC/parity id ranges
+    TagId tag = kInvalidTag;    //!< owning host I/O; kInvalidTag if none
     std::uint32_t idxInIo = 0;  //!< page index within the owning I/O
     FlashOp op = FlashOp::Read;
     Lpn lpn = kInvalidPage;
@@ -52,8 +49,11 @@ struct MemoryRequest
     bool composing = false;     //!< composition in flight this instant
     bool composed = false;      //!< NVMHC initiated data movement
     bool stale = false;         //!< target migrated; re-execute after
-    bool isGc = false;          //!< internal request issued by the FTL
-    bool isParity = false;      //!< issued by the die-parity engine
+    RequestOwner owner = RequestOwner::Host;
+
+    /** Owner-side job slot: the GC engine's batch or the parity
+     *  engine's job; unused for host requests. */
+    std::uint32_t job = 0;
 
     /** Read-retry ladder step; 0 = first sense (FaultModel). */
     std::uint8_t retryAttempt = 0;
@@ -62,7 +62,6 @@ struct MemoryRequest
      *  program); the owner decides remap vs error completion. */
     bool faultFailed = false;
 
-    Tick composedAt = 0;
     Tick committedAt = 0;
     Tick startedAt = 0;
     Tick finishedAt = 0;
@@ -78,21 +77,10 @@ struct MemoryRequest
     MemoryRequest *slabNext = nullptr;
 
     /**
-     * Owning GC batch slot in the GcManager's flat batch table;
-     * kInvalidGcBatch for host requests. Replaces the old
-     * request -> batch unordered_map.
-     */
-    std::uint32_t gcBatch = kInvalidGcBatch;
-
-    /**
      * Destination PPN of the paired migration program (GC migration
      * reads only). Replaces the old read -> program unordered_map.
      */
     Ppn gcPairPpn = kInvalidPage;
-
-    /** Owning parity-engine job slot; kInvalidGcBatch when not a
-     *  parity request. */
-    std::uint32_t parityJob = kInvalidGcBatch;
 };
 
 } // namespace spk

@@ -85,8 +85,6 @@ class BlockManager
                  AllocationPolicy policy = AllocationPolicy::ChannelStripe,
                  bool parity_reserve = false);
 
-    AllocationPolicy policy() const { return policy_; }
-
     std::uint64_t numPlanes() const { return planes_.size(); }
 
     /** Dense global plane index for a physical address. */

@@ -7,23 +7,18 @@
 namespace spk
 {
 
-Nvmhc::Nvmhc(EventQueue &events, const FlashGeometry &geo, Ftl &ftl,
-             std::vector<FlashController *> controllers,
-             Slab<MemoryRequest> &arena,
+Nvmhc::Nvmhc(EventQueue &events, Ftl &ftl, FlashBackend &backend,
              std::unique_ptr<IoScheduler> sched, const NvmhcConfig &cfg,
              IoCompleteFn on_io_complete)
     : events_(events),
-      geo_(geo),
+      geo_(backend.geometry()),
       ftl_(ftl),
-      controllers_(std::move(controllers)),
+      backend_(backend),
       sched_(std::move(sched)),
       cfg_(cfg),
       onIoComplete_(std::move(on_io_complete)),
-      arena_(arena),
       pending_(geo_.numChips())
 {
-    if (controllers_.size() != geo_.numChannels)
-        fatal("Nvmhc: need one flash controller per channel");
     if (cfg_.queueDepth == 0)
         fatal("Nvmhc: queue depth must be non-zero");
 
@@ -48,20 +43,6 @@ Nvmhc::Nvmhc(EventQueue &events, const FlashGeometry &geo, Ftl &ftl,
     for (TagId tag = cfg_.queueDepth; tag > 0; --tag)
         freeTags_.push_back(tag - 1);
     queue_.reserve(cfg_.queueDepth);
-
-    // Flat per-chip lookup table so a scheduler poll is two loads.
-    const std::uint32_t n_chips = geo_.numChips();
-    routes_.reserve(n_chips);
-    for (std::uint32_t chip = 0; chip < n_chips; ++chip) {
-        routes_.push_back({controllers_[geo_.channelOfChip(chip)],
-                           geo_.chipOffsetOfChip(chip)});
-    }
-}
-
-void
-Nvmhc::releaseRequest(MemoryRequest *req)
-{
-    arena_.releaseScrubbed(req); // the arena is shared with GC
 }
 
 void
@@ -85,25 +66,6 @@ Nvmhc::configureStreams(const std::vector<StreamInfo> &infos)
     arbiter_->prepare(n);
 }
 
-std::uint32_t
-Nvmhc::outstanding(std::uint32_t chip) const
-{
-    return routes_[chip].ctrl->outstanding(routes_[chip].offset);
-}
-
-std::uint32_t
-Nvmhc::outstandingOthers(std::uint32_t chip, TagId tag) const
-{
-    return routes_[chip].ctrl->outstandingOthers(routes_[chip].offset,
-                                                 tag);
-}
-
-FlashController &
-Nvmhc::controllerFor(std::uint32_t chip)
-{
-    return *routes_[chip].ctrl;
-}
-
 void
 Nvmhc::translate(MemoryRequest &req)
 {
@@ -120,31 +82,30 @@ Nvmhc::translate(MemoryRequest &req)
         return ppn;
     };
 
+    Ppn ppn;
     if (req.op == FlashOp::Program) {
-        req.ppn = allocate_with_reclaim(req.lpn);
-        if (req.ppn == kInvalidPage)
+        ppn = allocate_with_reclaim(req.lpn);
+        if (ppn == kInvalidPage)
             fatal("Nvmhc: device out of space");
     } else {
-        req.ppn = ftl_.translateRead(req.lpn);
-        if (req.ppn == kInvalidPage) {
+        ppn = ftl_.translateRead(req.lpn);
+        if (ppn == kInvalidPage) {
             // Reading a never-written page: backfill a mapping, as if
             // the data existed before the trace started.
-            req.ppn = allocate_with_reclaim(req.lpn);
-            if (req.ppn == kInvalidPage)
+            ppn = allocate_with_reclaim(req.lpn);
+            if (ppn == kInvalidPage)
                 fatal("Nvmhc: cannot backfill read mapping");
             if (StripeParityMap *pm = ftl_.parityMap()) {
                 // The fiction extends to parity: data that "already
                 // existed" was already protected, untimed like a
                 // precondition (otherwise a later die failure would
                 // leave backfilled pages unreconstructable).
-                pm->markDataWritten(req.ppn);
-                pm->markParityWritten(pm->stripeOf(req.ppn));
+                pm->markDataWritten(ppn);
+                pm->markParityWritten(pm->stripeOf(ppn));
             }
         }
     }
-    req.addr = geo_.decompose(req.ppn);
-    req.chip = geo_.chipOf(req.ppn);
-    req.translated = true;
+    backend_.place(req, ppn);
 }
 
 void
@@ -205,7 +166,7 @@ Nvmhc::enqueue(const PendingSubmission &sub)
     io->pages.clear();
     io->pages.reserve(sub.pageCount);
     for (std::uint32_t i = 0; i < sub.pageCount; ++i) {
-        MemoryRequest *req = arena_.acquire();
+        MemoryRequest *req = backend_.acquire();
         req->id = nextReqId_++;
         req->tag = tag;
         req->idxInIo = i;
@@ -252,8 +213,7 @@ Nvmhc::hazardFree(const MemoryRequest &req) const
         panic("Nvmhc::hazardFree request missing from LPN chain: lpn=" +
               std::to_string(req.lpn) + " tag=" +
               std::to_string(req.tag) + " composed=" +
-              std::to_string(req.composed) + " isGc=" +
-              std::to_string(req.isGc) + " id=" +
+              std::to_string(req.composed) + " id=" +
               std::to_string(req.id));
     }
     if (oldest != &req)
@@ -300,7 +260,6 @@ Nvmhc::composeDone(MemoryRequest *req)
 {
     req->composing = false;
     req->composed = true;
-    req->composedAt = events_.now();
     ++stats_.requestsComposed;
 
     if (req->tag >= slots_.size() || !slots_[req->tag].active)
@@ -309,7 +268,7 @@ Nvmhc::composeDone(MemoryRequest *req)
     slots_[req->tag].composedCount++;
     pending_.unlink(req);
 
-    controllerFor(req->chip).commit(req);
+    backend_.commit(req);
     engineBusy_ = false;
     pump();
 }
@@ -327,10 +286,8 @@ Nvmhc::retryStale(MemoryRequest *req, IoRequest *io)
     const Ppn fresh = ftl_.translateRead(req->lpn);
     if (fresh == kInvalidPage)
         panic("Nvmhc: mapping lost for pending read");
-    req->ppn = fresh;
-    req->addr = geo_.decompose(fresh);
-    req->chip = geo_.chipOf(fresh);
-    controllerFor(req->chip).commit(req);
+    backend_.place(*req, fresh);
+    backend_.commit(req);
 }
 
 void
@@ -357,10 +314,8 @@ Nvmhc::onRequestFinished(MemoryRequest *req)
         req->faultFailed = false;
         const Ppn fresh = ftl_.onProgramFail(req->ppn);
         if (fresh != kInvalidPage) {
-            req->ppn = fresh;
-            req->addr = geo_.decompose(fresh);
-            req->chip = geo_.chipOf(fresh);
-            controllerFor(req->chip).commit(req);
+            backend_.place(*req, fresh);
+            backend_.commit(req);
             return;
         }
     }
@@ -451,7 +406,7 @@ Nvmhc::finishRequestTail(MemoryRequest *req, IoRequest *io)
         // Recycle the entry in place: pages return to the slab, the
         // slot keeps its vector/bitmap capacity for the next I/O.
         for (MemoryRequest *page : io->pages)
-            releaseRequest(page);
+            backend_.release(page);
         io->pages.clear();
         io->active = false;
         freeTags_.push_back(tag);
@@ -475,9 +430,7 @@ Nvmhc::readdress(Lpn lpn, Ppn from, Ppn to)
             // request is composed, at no extra flash cost. The request
             // joins the back of its new chip's pending list.
             pending_.unlink(req);
-            req->ppn = to;
-            req->addr = geo_.decompose(to);
-            req->chip = geo_.chipOf(to);
+            backend_.place(*req, to);
             pending_.pushBack(req);
         } else {
             // Either already executing, or the scheduler has no

@@ -17,7 +17,7 @@
 #include <memory>
 #include <vector>
 
-#include "controller/flash_controller.hh"
+#include "controller/flash_backend.hh"
 #include "controller/io_request.hh"
 #include "ftl/ftl.hh"
 #include "sched/chip_pending.hh"
@@ -27,7 +27,6 @@
 #include "sim/event_queue.hh"
 #include "sim/field_table.hh"
 #include "sim/logging.hh"
-#include "sim/slab.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -106,8 +105,8 @@ struct NvmhcStats
  * request it composes next is the scheduler's decision (this is where
  * VAS / PAS / Sprinkler differ).
  *
- * The NVMHC is the SchedulerView: outstanding counts come from a flat
- * per-chip controller lookup table and the controllers' incremental
+ * The NVMHC is the SchedulerView: outstanding counts come from the
+ * flash back end's flat route table and the controllers' incremental
  * counters, so a scheduler poll never allocates or walks a map.
  */
 class Nvmhc : private SchedulerView
@@ -117,19 +116,15 @@ class Nvmhc : private SchedulerView
 
     /**
      * @param events shared event queue
-     * @param geo device geometry
      * @param ftl translation layer (translation happens at enqueue --
      *        the paper's core.preprocess step)
-     * @param controllers one per channel, indexed by channel
-     * @param arena device-wide MemoryRequest arena (shared with the
-     *        GC engine; must outlive the NVMHC)
+     * @param backend the device's flash back end (request arena,
+     *        placement, commitment; shared with GC and parity)
      * @param sched scheduling strategy
      * @param cfg tuning knobs
      * @param on_io_complete invoked once per completed host I/O
      */
-    Nvmhc(EventQueue &events, const FlashGeometry &geo, Ftl &ftl,
-          std::vector<FlashController *> controllers,
-          Slab<MemoryRequest> &arena,
+    Nvmhc(EventQueue &events, Ftl &ftl, FlashBackend &backend,
           std::unique_ptr<IoScheduler> sched, const NvmhcConfig &cfg,
           IoCompleteFn on_io_complete);
 
@@ -206,21 +201,11 @@ class Nvmhc : private SchedulerView
 
     const NvmhcStats &stats() const { return stats_; }
 
-    /** Number of configured submission queues (streams). */
-    std::uint32_t streamCount() const
-    {
-        return static_cast<std::uint32_t>(streamStats_.size());
-    }
-
     /** Per-stream slice of the aggregate statistics. */
     const NvmhcStats &streamStats(std::uint32_t stream) const
     {
         return streamStats_[stream];
     }
-
-    IoScheduler &scheduler() { return *sched_; }
-    const QueueArbiter &arbiter() const { return *arbiter_; }
-    const RingDeque<IoRequest *> &queue() const { return queue_; }
 
     /** Hook run after every enqueue (the device's GC trigger check). */
     void setAfterEnqueueHook(std::function<void()> hook)
@@ -241,9 +226,15 @@ class Nvmhc : private SchedulerView
 
   private:
     // SchedulerView: flat-indexed, allocation-free device queries.
-    std::uint32_t outstanding(std::uint32_t chip) const override;
+    std::uint32_t outstanding(std::uint32_t chip) const override
+    {
+        return backend_.outstanding(chip);
+    }
     std::uint32_t outstandingOthers(std::uint32_t chip,
-                                    TagId tag) const override;
+                                    TagId tag) const override
+    {
+        return backend_.outstandingOthers(chip, tag);
+    }
     bool schedulable(const MemoryRequest &req) const override
     {
         return hazardFree(req);
@@ -261,9 +252,6 @@ class Nvmhc : private SchedulerView
 
     /** Secure a tag and preprocess (translate + index) an I/O. */
     void enqueue(const PendingSubmission &sub);
-
-    /** Scrub and return a retired memory request to the arena. */
-    void releaseRequest(MemoryRequest *req);
 
     /** Admit waiting submissions into freed tags. */
     void admitWaiting();
@@ -286,15 +274,13 @@ class Nvmhc : private SchedulerView
     /** Per-LPN ordering + FUA barrier check. */
     bool hazardFree(const MemoryRequest &req) const;
 
-    FlashController &controllerFor(std::uint32_t chip);
-
     /** Translate @p req at enqueue time; backfills unwritten reads. */
     void translate(MemoryRequest &req);
 
     EventQueue &events_;
     FlashGeometry geo_;
     Ftl &ftl_;
-    std::vector<FlashController *> controllers_;
+    FlashBackend &backend_;
     std::unique_ptr<IoScheduler> sched_;
     NvmhcConfig cfg_;
     IoCompleteFn onIoComplete_;
@@ -325,19 +311,6 @@ class Nvmhc : private SchedulerView
     std::vector<NvmhcStats> streamStats_;
 
     std::uint64_t nextReqId_ = 0;
-
-    /** Device-wide MemoryRequest arena (owned by the Ssd, shared with
-     *  the GC engine). The host-side high-water mark is bounded by
-     *  queueDepth x pages-per-I/O. */
-    Slab<MemoryRequest> &arena_;
-
-    /** Where a global chip lives: its controller and chip offset. */
-    struct ChipRoute
-    {
-        FlashController *ctrl;
-        std::uint32_t offset;
-    };
-    std::vector<ChipRoute> routes_; //!< by global chip
 
     /** Per-LPN pending requests, oldest first (hazard ordering);
      *  intrusive chains, allocation-free at steady state. */

@@ -54,10 +54,6 @@ class SprinklerScheduler : public IoScheduler
     /** Sprinkler registers the readdressing callback (Section 4.3). */
     bool wantsReaddressing() const override { return true; }
 
-    bool riosEnabled() const { return rios_; }
-    bool faroEnabled() const { return faro_; }
-    std::uint32_t window() const { return window_; }
-
   private:
     /**
      * Largest coalescable set among @p candidates for @p chip (the

@@ -195,8 +195,6 @@ class DeviceArray
 
     const std::vector<DeviceJob> &jobs() const { return jobs_; }
 
-    std::size_t deviceCount() const { return jobs_.size(); }
-
     /**
      * Wall-clock seconds job @p index took in the last run() —
      * simulation plus cache bookkeeping (a cache hit reads as the

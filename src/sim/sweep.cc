@@ -239,17 +239,6 @@ SweepRunner::jobAt(const std::string &trace, SchedulerKind scheduler,
                                  arbiter, fault, fidelity)];
 }
 
-bool
-SweepRunner::cellCompleted(const std::string &trace,
-                           SchedulerKind scheduler, std::uint64_t seed,
-                           const std::string &variant,
-                           ArbiterKind arbiter, double fault,
-                           Fidelity fidelity) const
-{
-    return array_.completed(indexOf(trace, scheduler, seed, variant,
-                                    arbiter, fault, fidelity));
-}
-
 MetricsSnapshot
 SweepRunner::aggregate() const
 {

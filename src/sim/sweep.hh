@@ -185,15 +185,6 @@ class SweepRunner
           double fault = 0.0,
           Fidelity fidelity = Fidelity::Exact) const;
 
-    /** True once the cell ran to completion in the last run(). */
-    bool
-    cellCompleted(const std::string &trace, SchedulerKind scheduler,
-                  std::uint64_t seed = 0,
-                  const std::string &variant = "",
-                  ArbiterKind arbiter = ArbiterKind::RoundRobin,
-                  double fault = 0.0,
-                  Fidelity fidelity = Fidelity::Exact) const;
-
     /** Cells finished during the last run(). */
     std::size_t completedCount() const
     {

@@ -5,34 +5,21 @@
 namespace spk
 {
 
-GcManager::GcManager(EventQueue &events, const FlashGeometry &geo,
-                     std::vector<FlashController *> controllers,
-                     Slab<MemoryRequest> &arena,
-                     std::function<void()> on_all_done,
+GcManager::GcManager(FlashBackend &backend,
                      std::uint32_t max_live_per_plane)
-    : events_(events),
-      geo_(geo),
-      controllers_(std::move(controllers)),
-      arena_(arena),
-      onAllDone_(std::move(on_all_done)),
-      maxLivePerPlane_(max_live_per_plane)
+    : backend_(backend), maxLivePerPlane_(max_live_per_plane)
 {
     if (maxLivePerPlane_ == 0)
         fatal("GcManager: live-batch bound must be >= 1");
     // The admission bound makes the table statically sizable: at most
     // planes x bound batches are ever live outside urgent
     // (emergency-reclaim) launches, which may still grow it.
-    const std::size_t planes = std::size_t{geo_.numChips()} *
-                               geo_.diesPerChip * geo_.planesPerDie;
+    const FlashGeometry &geo = backend_.geometry();
+    const std::size_t planes = std::size_t{geo.numChips()} *
+                               geo.diesPerChip * geo.planesPerDie;
     batches_.reserve(planes * maxLivePerPlane_);
     freeSlots_.reserve(planes * maxLivePerPlane_);
     livePerPlane_.assign(planes, 0);
-}
-
-FlashController &
-GcManager::controllerFor(std::uint32_t chip)
-{
-    return *controllers_[geo_.channelOfChip(chip)];
 }
 
 std::uint32_t
@@ -45,27 +32,6 @@ GcManager::acquireBatchSlot()
     const std::uint32_t slot = freeSlots_.back();
     freeSlots_.pop_back();
     return slot;
-}
-
-MemoryRequest *
-GcManager::issue(FlashOp op, Ppn ppn, std::uint32_t slot)
-{
-    MemoryRequest *req = arena_.acquire();
-    req->id = nextReqId_++;
-    req->tag = kInvalidTag;
-    req->op = op;
-    req->lpn = kInvalidPage;
-    req->ppn = ppn;
-    req->addr = geo_.decompose(ppn);
-    req->chip = geo_.chipOf(ppn);
-    req->translated = true;
-    req->composed = true;
-    req->isGc = true;
-    req->composedAt = events_.now();
-    req->gcBatch = slot;
-
-    controllerFor(req->chip).commit(req, /*front=*/true);
-    return req;
 }
 
 void
@@ -103,11 +69,14 @@ GcManager::launch(const GcBatchList &batches, bool urgent)
             // Nothing live to move: erase right away.
             active.eraseIssued = true;
             ++stats_.erases;
-            issue(FlashOp::Erase, batch.victimBasePpn, slot);
+            backend_.issue(RequestOwner::Gc, nextReqId_++, slot,
+                           FlashOp::Erase, batch.victimBasePpn);
             continue;
         }
         for (const auto &mig : batch.migrations) {
-            MemoryRequest *read = issue(FlashOp::Read, mig.from, slot);
+            MemoryRequest *read = backend_.issue(
+                RequestOwner::Gc, nextReqId_++, slot, FlashOp::Read,
+                mig.from);
             read->gcPairPpn = mig.to;
             ++stats_.migrationReads;
         }
@@ -134,8 +103,8 @@ GcManager::retireSlot(std::uint32_t slot)
 void
 GcManager::onRequestFinished(MemoryRequest *req)
 {
-    const std::uint32_t slot = req->gcBatch;
-    if (slot == kInvalidGcBatch || slot >= batches_.size() ||
+    const std::uint32_t slot = req->job;
+    if (req->owner != RequestOwner::Gc || slot >= batches_.size() ||
         !batches_[slot].live) {
         panic("GcManager: completion for unknown GC request");
     }
@@ -146,7 +115,7 @@ GcManager::onRequestFinished(MemoryRequest *req)
 
     // Reclaim the request before issuing follow-up work so the arena
     // can hand the hot object straight back.
-    arena_.releaseScrubbed(req);
+    backend_.release(req);
 
     // The fail hook and the retirement hook below can re-enter
     // launch() and grow the batch table, so batches_[slot] must be
@@ -162,7 +131,8 @@ GcManager::onRequestFinished(MemoryRequest *req)
             ++stats_.migrationReadFailures;
         }
         ++stats_.migrationPrograms;
-        issue(FlashOp::Program, pair, slot);
+        backend_.issue(RequestOwner::Gc, nextReqId_++, slot,
+                       FlashOp::Program, pair);
         break;
       }
       case FlashOp::Program: {
@@ -172,7 +142,8 @@ GcManager::onRequestFinished(MemoryRequest *req)
                 // Re-home the migration onto the replacement page; the
                 // batch completes when the re-issue finishes.
                 ++stats_.migrationProgramRetries;
-                issue(FlashOp::Program, fresh, slot);
+                backend_.issue(RequestOwner::Gc, nextReqId_++, slot,
+                               FlashOp::Program, fresh);
                 break;
             }
             // Superseded meanwhile: nothing to re-program.
@@ -185,7 +156,8 @@ GcManager::onRequestFinished(MemoryRequest *req)
             if (batch.eraseAfter) {
                 batch.eraseIssued = true;
                 ++stats_.erases;
-                issue(FlashOp::Erase, batch.victimBasePpn, slot);
+                backend_.issue(RequestOwner::Gc, nextReqId_++, slot,
+                               FlashOp::Erase, batch.victimBasePpn);
             } else {
                 // Retirement batch: the victim is Bad, never erased.
                 retireSlot(slot);
@@ -197,10 +169,6 @@ GcManager::onRequestFinished(MemoryRequest *req)
         retireSlot(slot);
         break;
     }
-
-    // A chip just freed up: let the host scheduler re-poll.
-    if (onAllDone_)
-        onAllDone_();
 }
 
 } // namespace spk

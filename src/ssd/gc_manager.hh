@@ -9,11 +9,12 @@
  * (they hold the chip hostage exactly as the paper's Section 5.9
  * stress test intends).
  *
- * Steady-state execution is allocation-free: requests come from the
- * device-wide MemoryRequest arena and carry their batch membership
- * and paired-program destination as intrusive fields, and batches
- * live in a flat table of recycled slots — there are no per-request
- * maps and no per-batch heap nodes.
+ * Steady-state execution is allocation-free: requests are issued
+ * through the device's FlashBackend (arena-allocated, owner-tagged
+ * RequestOwner::Gc with their batch slot in MemoryRequest::job) and
+ * carry their paired-program destination as an intrusive field, and
+ * batches live in a flat table of recycled slots — there are no
+ * per-request maps and no per-batch heap nodes.
  */
 
 #ifndef SPK_SSD_GC_MANAGER_HH
@@ -23,12 +24,9 @@
 #include <functional>
 #include <vector>
 
-#include "controller/flash_controller.hh"
-#include "flash/geometry.hh"
+#include "controller/flash_backend.hh"
 #include "flash/mem_request.hh"
 #include "ftl/ftl.hh"
-#include "sim/event_queue.hh"
-#include "sim/slab.hh"
 
 namespace spk
 {
@@ -57,7 +55,7 @@ struct GcManagerStats
 inline constexpr std::uint32_t kDefaultGcBatchesPerPlane = 8;
 
 /**
- * Executes GcBatch work against the flash controllers.
+ * Executes GcBatch work through the flash back end.
  *
  * Sequencing per batch: all migration reads commit immediately; each
  * read completion triggers the paired program; the erase commits once
@@ -67,25 +65,17 @@ class GcManager
 {
   public:
     /**
-     * @param events shared event queue
-     * @param geo device geometry
-     * @param controllers per-channel controllers
-     * @param arena device-wide MemoryRequest arena (shared with the
+     * @param backend the device's flash back end (shared with the
      *        host path; must outlive the manager)
-     * @param on_all_done called whenever a GC request completes
-     *        (used to re-poll the scheduler)
      * @param max_live_per_plane admission bound: at most this many
      *        batches of one plane may be live at once, which makes
      *        the flat batch table statically sizable (planes x bound)
      *        instead of growing with the GC backlog under overload.
      *        Must be >= 1.
      */
-    GcManager(EventQueue &events, const FlashGeometry &geo,
-              std::vector<FlashController *> controllers,
-              Slab<MemoryRequest> &arena,
-              std::function<void()> on_all_done,
-              std::uint32_t max_live_per_plane =
-                  kDefaultGcBatchesPerPlane);
+    explicit GcManager(FlashBackend &backend,
+                       std::uint32_t max_live_per_plane =
+                           kDefaultGcBatchesPerPlane);
 
     /**
      * Begin executing a set of batches produced by Ftl::collectGc.
@@ -143,7 +133,7 @@ class GcManager
   private:
     /**
      * In-flight batch state, indexed by the recycled slot id that
-     * every member request carries in MemoryRequest::gcBatch.
+     * every member request carries in MemoryRequest::job.
      */
     struct BatchSlot
     {
@@ -161,16 +151,7 @@ class GcManager
     /** Recycle a finished batch slot and fire the retirement hook. */
     void retireSlot(std::uint32_t slot);
 
-    /** Arena-acquire + commit a GC memory request for @p slot. */
-    MemoryRequest *issue(FlashOp op, Ppn ppn, std::uint32_t slot);
-
-    FlashController &controllerFor(std::uint32_t chip);
-
-    EventQueue &events_;
-    FlashGeometry geo_;
-    std::vector<FlashController *> controllers_;
-    Slab<MemoryRequest> &arena_;
-    std::function<void()> onAllDone_;
+    FlashBackend &backend_;
     std::function<void()> onBatchRetired_;
     std::function<Ppn(Ppn)> onProgramFail_;
 

@@ -8,29 +8,18 @@
 namespace spk
 {
 
-ParityEngine::ParityEngine(EventQueue &events, const FlashGeometry &geo,
-                           Ftl &ftl,
-                           std::vector<FlashController *> controllers,
-                           Slab<MemoryRequest> &arena,
-                           const ParityConfig &cfg,
-                           std::function<void()> on_all_done)
+ParityEngine::ParityEngine(EventQueue &events, Ftl &ftl,
+                           FlashBackend &backend,
+                           const ParityConfig &cfg)
     : events_(events),
-      geo_(geo),
+      geo_(backend.geometry()),
       ftl_(ftl),
       map_(*ftl.parityMap()),
-      controllers_(std::move(controllers)),
-      arena_(arena),
-      cfg_(cfg),
-      onAllDone_(std::move(on_all_done))
+      backend_(backend),
+      cfg_(cfg)
 {
     if (!ftl.parityMap())
         panic("ParityEngine: FTL has no stripe map (parity off)");
-}
-
-FlashController &
-ParityEngine::controllerFor(std::uint32_t chip)
-{
-    return *controllers_[geo_.channelOfChip(chip)];
 }
 
 std::uint32_t
@@ -59,35 +48,13 @@ ParityEngine::retireSlot(std::uint32_t slot)
     --liveJobs_;
 }
 
-MemoryRequest *
-ParityEngine::issue(FlashOp op, Ppn ppn, std::uint32_t slot)
-{
-    MemoryRequest *req = arena_.acquire();
-    req->id = nextReqId_++;
-    req->tag = kInvalidTag;
-    req->op = op;
-    req->lpn = kInvalidPage;
-    req->ppn = ppn;
-    req->addr = geo_.decompose(ppn);
-    req->chip = geo_.chipOf(ppn);
-    req->translated = true;
-    req->composed = true;
-    req->isParity = true;
-    req->composedAt = events_.now();
-    req->parityJob = slot;
-
-    controllerFor(req->chip).commit(req, /*front=*/true);
-    return req;
-}
-
 void
 ParityEngine::onDataProgram(Ppn ppn)
 {
     map_.markDataWritten(ppn);
     const StripeId stripe = map_.stripeOf(ppn);
     const PhysAddr addr = geo_.decompose(ppn);
-    const std::uint32_t chip =
-        geo_.chipIndex(addr.channel, addr.chipInChannel);
+    const std::uint32_t chip = geo_.chipOf(ppn);
 
     // A stripe whose parity slot sits on the failed die cannot be
     // protected until the die revives; membership is still recorded so
@@ -143,9 +110,7 @@ ParityEngine::closeStripe(StripeId stripe, const OpenStripe &os)
 
     const std::uint32_t pdie = map_.parityDie(stripe);
     const Ppn parity_ppn = map_.parityPpn(stripe);
-    const PhysAddr paddr = geo_.decompose(parity_ppn);
-    const std::uint32_t chip =
-        geo_.chipIndex(paddr.channel, paddr.chipInChannel);
+    const std::uint32_t chip = geo_.chipOf(parity_ppn);
     if (dieIsDead(chip, pdie)) {
         ++stats_.abandonedStripes;
         return;
@@ -174,14 +139,16 @@ ParityEngine::closeStripe(StripeId stripe, const OpenStripe &os)
         job.parityIssued = true;
         map_.markParityWritten(stripe);
         ++stats_.parityUpdates;
-        issue(FlashOp::Program, parity_ppn, slot);
+        backend_.issue(RequestOwner::Parity, nextReqId_++, slot,
+                       FlashOp::Program, parity_ppn);
         return;
     }
     job.remainingReads = static_cast<std::uint32_t>(
         std::popcount(need));
     for (std::uint32_t d = 0; d < map_.dies(); ++d) {
         if ((need & (1u << d)) != 0) {
-            issue(FlashOp::Read, map_.memberPpn(stripe, d), slot);
+            backend_.issue(RequestOwner::Parity, nextReqId_++, slot,
+                           FlashOp::Read, map_.memberPpn(stripe, d));
             ++stats_.closeMemberReads;
         }
     }
@@ -196,7 +163,8 @@ ParityEngine::startRmw(StripeId stripe)
     job.stripe = stripe;
     job.remainingReads = 1;
     ++stats_.rmwReads;
-    issue(FlashOp::Read, map_.parityPpn(stripe), slot);
+    backend_.issue(RequestOwner::Parity, nextReqId_++, slot,
+                   FlashOp::Read, map_.parityPpn(stripe));
 }
 
 bool
@@ -217,8 +185,7 @@ ParityEngine::tryReconstruct(MemoryRequest *req)
         map_.mask(stripe) & ~(1u << addr.die);
     if (survivors == 0)
         return false;
-    const std::uint32_t chip =
-        geo_.chipIndex(addr.channel, addr.chipInChannel);
+    const std::uint32_t chip = geo_.chipOf(ppn);
     if (deadActive_ && chip == deadChip_ && addr.die != deadDie_ &&
         (survivors & (1u << deadDie_)) != 0)
         return false; // a needed survivor is itself on the dead die
@@ -232,7 +199,8 @@ ParityEngine::tryReconstruct(MemoryRequest *req)
         std::popcount(survivors));
     for (std::uint32_t d = 0; d < map_.dies(); ++d) {
         if ((survivors & (1u << d)) != 0) {
-            issue(FlashOp::Read, map_.memberPpn(stripe, d), slot);
+            backend_.issue(RequestOwner::Parity, nextReqId_++, slot,
+                           FlashOp::Read, map_.memberPpn(stripe, d));
             ++stats_.reconstructionReads;
         }
     }
@@ -332,14 +300,16 @@ ParityEngine::rebuildStep()
         // failure with a pre-populated dead-die member): the page is
         // re-homed without survivor reads so the mapping heals, though
         // its content was not reconstructable.
-        issue(FlashOp::Program, to, slot);
+        backend_.issue(RequestOwner::Parity, nextReqId_++, slot,
+                       FlashOp::Program, to);
         return;
     }
     job.remainingReads = static_cast<std::uint32_t>(
         std::popcount(survivors));
     for (std::uint32_t d = 0; d < map_.dies(); ++d) {
         if ((survivors & (1u << d)) != 0) {
-            issue(FlashOp::Read, map_.memberPpn(stripe, d), slot);
+            backend_.issue(RequestOwner::Parity, nextReqId_++, slot,
+                           FlashOp::Read, map_.memberPpn(stripe, d));
             ++stats_.rebuildReads;
         }
     }
@@ -348,12 +318,13 @@ ParityEngine::rebuildStep()
 void
 ParityEngine::onRequestFinished(MemoryRequest *req)
 {
-    const std::uint32_t slot = req->parityJob;
-    if (slot >= jobs_.size() || !jobs_[slot].live)
+    const std::uint32_t slot = req->job;
+    if (req->owner != RequestOwner::Parity || slot >= jobs_.size() ||
+        !jobs_[slot].live)
         panic("ParityEngine::onRequestFinished: unknown job slot");
     const FlashOp op = req->op;
     const bool failed = req->faultFailed;
-    arena_.releaseScrubbed(req);
+    backend_.release(req);
 
     JobSlot &job = jobs_[slot];
     switch (job.kind) {
@@ -373,8 +344,9 @@ ParityEngine::onRequestFinished(MemoryRequest *req)
                     job.parityIssued = true;
                     map_.markParityWritten(job.stripe);
                     ++stats_.parityUpdates;
-                    issue(FlashOp::Program,
-                          map_.parityPpn(job.stripe), slot);
+                    backend_.issue(RequestOwner::Parity, nextReqId_++,
+                                   slot, FlashOp::Program,
+                                   map_.parityPpn(job.stripe));
                 }
             }
         } else {
@@ -411,16 +383,16 @@ ParityEngine::onRequestFinished(MemoryRequest *req)
             // Survivor read failures do not stop the relocation: the
             // mapping must leave the dead die either way.
             if (--job.remainingReads == 0)
-                issue(FlashOp::Program, job.rebuildTo, slot);
+                backend_.issue(RequestOwner::Parity, nextReqId_++, slot,
+                               FlashOp::Program, job.rebuildTo);
         } else {
             if (failed) {
-                const Ppn fresh = onProgramFail_
-                                      ? onProgramFail_(job.rebuildTo)
-                                      : kInvalidPage;
+                const Ppn fresh = ftl_.onProgramFail(job.rebuildTo);
                 if (fresh != kInvalidPage) {
                     ++stats_.rebuildProgramRetries;
                     job.rebuildTo = fresh;
-                    issue(FlashOp::Program, fresh, slot);
+                    backend_.issue(RequestOwner::Parity, nextReqId_++, slot,
+                                   FlashOp::Program, fresh);
                     break;
                 }
                 // Superseded while re-homing: nothing left to write.
@@ -432,9 +404,6 @@ ParityEngine::onRequestFinished(MemoryRequest *req)
         }
         break;
     }
-
-    if (onAllDone_)
-        onAllDone_();
 }
 
 } // namespace spk

@@ -26,8 +26,10 @@
  *    from its survivors onto spare capacity, and finally revives the
  *    die — restoring full redundancy without stopping host service.
  *
- * Requests mirror the GC engine's idiom: arena-allocated, flat
- * recycled job slots, ids from a distinct space (1 << 61).
+ * Requests mirror the GC engine's idiom: issued through the
+ * FlashBackend (owner RequestOwner::Parity, job slot in
+ * MemoryRequest::job), flat recycled job slots, ids from a distinct
+ * space (1 << 61).
  */
 
 #ifndef SPK_SSD_PARITY_ENGINE_HH
@@ -38,12 +40,11 @@
 #include <unordered_map>
 #include <vector>
 
-#include "controller/flash_controller.hh"
+#include "controller/flash_backend.hh"
 #include "flash/geometry.hh"
 #include "flash/mem_request.hh"
 #include "ftl/ftl.hh"
 #include "sim/event_queue.hh"
-#include "sim/slab.hh"
 #include "ssd/config.hh"
 
 namespace spk
@@ -74,26 +75,21 @@ struct ParityEngineStats
 
 /**
  * Executes parity maintenance, degraded-read reconstruction and
- * online rebuild against the flash controllers.
+ * online rebuild through the flash back end.
  */
 class ParityEngine
 {
   public:
     /**
      * @param events shared event queue
-     * @param geo device geometry
      * @param ftl translation layer; must have die parity enabled (the
-     *        engine uses its stripe map and rebuild relocation)
-     * @param controllers per-channel controllers
-     * @param arena device-wide MemoryRequest arena
+     *        engine uses its stripe map, rebuild relocation and
+     *        program-failure re-home)
+     * @param backend the device's flash back end
      * @param cfg parity knobs (flush window, rebuild pacing)
-     * @param on_all_done called whenever a parity request completes
-     *        (used to re-poll the host scheduler)
      */
-    ParityEngine(EventQueue &events, const FlashGeometry &geo, Ftl &ftl,
-                 std::vector<FlashController *> controllers,
-                 Slab<MemoryRequest> &arena, const ParityConfig &cfg,
-                 std::function<void()> on_all_done);
+    ParityEngine(EventQueue &events, Ftl &ftl, FlashBackend &backend,
+                 const ParityConfig &cfg);
 
     /**
      * A data-page program completed successfully (host write, GC
@@ -130,19 +126,11 @@ class ParityEngine
         onRebuildComplete_ = std::move(hook);
     }
 
-    /** Program-failure re-home (wired to Ftl::onProgramFail). */
-    void setProgramFailHook(std::function<Ppn(Ppn)> hook)
-    {
-        onProgramFail_ = std::move(hook);
-    }
-
     /** Flash-level completion upcall for parity requests. */
     void onRequestFinished(MemoryRequest *req);
 
     /** True when no parity flash work is outstanding. */
     bool idle() const { return liveJobs_ == 0 && !rebuildActive_; }
-
-    bool rebuildActive() const { return rebuildActive_; }
 
     const ParityEngineStats &stats() const { return stats_; }
 
@@ -150,7 +138,7 @@ class ParityEngine
     enum class JobKind : std::uint8_t { Close, Reconstruct, Rebuild };
 
     /** In-flight job state, indexed by the recycled slot id every
-     *  member request carries in MemoryRequest::parityJob. */
+     *  member request carries in MemoryRequest::job. */
     struct JobSlot
     {
         JobKind kind = JobKind::Close;
@@ -172,11 +160,6 @@ class ParityEngine
 
     std::uint32_t acquireSlot();
     void retireSlot(std::uint32_t slot);
-
-    /** Arena-acquire + front-commit a parity memory request. */
-    MemoryRequest *issue(FlashOp op, Ppn ppn, std::uint32_t slot);
-
-    FlashController &controllerFor(std::uint32_t chip);
 
     /** Close an open stripe: re-read pre-populated members the
      *  accumulator never saw, then program the parity page. */
@@ -204,13 +187,10 @@ class ParityEngine
     FlashGeometry geo_;
     Ftl &ftl_;
     StripeParityMap &map_;
-    std::vector<FlashController *> controllers_;
-    Slab<MemoryRequest> &arena_;
+    FlashBackend &backend_;
     ParityConfig cfg_;
-    std::function<void()> onAllDone_;
     FinishReconstructFn finishReconstruct_;
     std::function<void()> onRebuildComplete_;
-    std::function<Ppn(Ppn)> onProgramFail_;
 
     std::unordered_map<StripeId, OpenStripe> open_;
     std::uint64_t nextToken_ = 0;

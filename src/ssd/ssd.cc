@@ -39,18 +39,14 @@ Ssd::Ssd(const SsdConfig &cfg)
     ftl_ = std::make_unique<Ftl>(geo, cfg_.ftl, &faults_,
                                  cfg_.parity.enabled);
 
-    std::vector<FlashController *> raw_controllers;
-    raw_controllers.reserve(controllers_.size());
-    for (auto &ctrl : controllers_)
-        raw_controllers.push_back(ctrl.get());
+    backend_ = std::make_unique<FlashBackend>(geo, controllers_,
+                                              requestArena_);
 
-    gc_ = std::make_unique<GcManager>(events_, geo, raw_controllers,
-                                      requestArena_,
-                                      [this] { nvmhc_->kick(); },
+    gc_ = std::make_unique<GcManager>(*backend_,
                                       cfg_.gcMaxLiveBatchesPerPlane);
 
     nvmhc_ = std::make_unique<Nvmhc>(
-        events_, geo, *ftl_, raw_controllers, requestArena_,
+        events_, *ftl_, *backend_,
         makeScheduler(cfg_.scheduler, cfg_.faroWindow), cfg_.nvmhc,
         [this](const IoRequest &io) {
             results_.push_back(IoResult{io.arrival, io.completed,
@@ -105,15 +101,12 @@ Ssd::Ssd(const SsdConfig &cfg)
     // serves degraded reads by reconstruction and rebuilds a failed
     // die onto spare capacity in the background.
     if (cfg_.parity.enabled) {
-        parity_ = std::make_unique<ParityEngine>(
-            events_, geo, *ftl_, raw_controllers, requestArena_,
-            cfg_.parity, [this] { nvmhc_->kick(); });
+        parity_ = std::make_unique<ParityEngine>(events_, *ftl_,
+                                                 *backend_, cfg_.parity);
         parity_->setFinishReconstructHook(
             [this](MemoryRequest *req, bool ok) {
                 nvmhc_->finishReconstructed(req, ok);
             });
-        parity_->setProgramFailHook(
-            [this](Ppn failed) { return ftl_->onProgramFail(failed); });
         parity_->setRebuildCompleteHook([this] {
             ftl_->reviveDie(cfg_.fault.dieFailChip,
                             cfg_.fault.dieFailDie);
@@ -147,12 +140,19 @@ Ssd::onRequestFinished(MemoryRequest *req)
     const FlashOp op = req->op;
     const Ppn ppn = req->ppn;
     const bool failed = req->faultFailed;
-    if (req->isParity)
-        parity_->onRequestFinished(req);
-    else if (req->isGc)
-        gc_->onRequestFinished(req);
-    else
+    switch (req->owner) {
+      case RequestOwner::Host:
         nvmhc_->onRequestFinished(req);
+        break;
+      case RequestOwner::Gc:
+        gc_->onRequestFinished(req);
+        nvmhc_->kick(); // a chip freed up: re-poll the host scheduler
+        break;
+      case RequestOwner::Parity:
+        parity_->onRequestFinished(req);
+        nvmhc_->kick();
+        break;
+    }
     // Every successful data-page program (host, GC migration, rebuild
     // relocation) is a stripe member the parity engine must track;
     // parity-slot programs are the engine's own closes.
@@ -185,9 +185,13 @@ std::pair<Lpn, std::uint32_t>
 Ssd::pageSpan(std::uint64_t offset_bytes,
               std::uint64_t size_bytes) const
 {
+    if (size_bytes - 1 > UINT64_MAX - offset_bytes)
+        fatal("Ssd: I/O byte range wraps past 2^64");
     const std::uint32_t page = cfg_.geometry.pageSizeBytes;
     const Lpn first = offset_bytes / page;
     const std::uint64_t last = (offset_bytes + size_bytes - 1) / page;
+    if (last - first >= UINT32_MAX)
+        fatal("Ssd: I/O spans more than 2^32 - 1 pages");
     return {first, static_cast<std::uint32_t>(last - first + 1)};
 }
 

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "controller/channel.hh"
+#include "controller/flash_backend.hh"
 #include "controller/flash_controller.hh"
 #include "controller/soft_decoder.hh"
 #include "flash/chip.hh"
@@ -132,14 +133,8 @@ class Ssd
         return channels_;
     }
 
-    /** Attached stream configs (empty for implicit-stream runs). */
-    const std::vector<HostStreamConfig> &hostStreams() const
-    {
-        return streamCfgs_;
-    }
-
   private:
-    /** Route flash completions to the NVMHC or the GC manager. */
+    /** Route a flash completion to its owner (MemoryRequest::owner). */
     void onRequestFinished(MemoryRequest *req);
 
     /** Post-enqueue hook: trigger GC when any plane runs low. */
@@ -154,7 +149,9 @@ class Ssd
     /** Drain a stream's ready backlog into its freed window slots. */
     void pumpStream(std::uint32_t sid);
 
-    /** Byte range -> (first LPN, page count), page-rounded. */
+    /** Byte range (size > 0) -> (first LPN, page count),
+     *  page-rounded; fatal() when the range wraps past 2^64 bytes or
+     *  its page count does not fit in 32 bits. */
     std::pair<Lpn, std::uint32_t>
     pageSpan(std::uint64_t offset_bytes,
              std::uint64_t size_bytes) const;
@@ -180,8 +177,8 @@ class Ssd
     SoftDecoder decoder_;
 
     /**
-     * Device-wide MemoryRequest arena: host-composed requests and GC
-     * migration requests share one recycled pool (declared before its
+     * Device-wide MemoryRequest arena: host, GC and parity requests
+     * share one recycled pool (declared before its
      * users so it outlives them).
      */
     Slab<MemoryRequest> requestArena_;
@@ -189,6 +186,8 @@ class Ssd
     std::vector<std::unique_ptr<FlashChip>> chips_;
     std::vector<std::unique_ptr<Channel>> channels_;
     std::vector<std::unique_ptr<FlashController>> controllers_;
+    /** Chip routing, placement and commitment for every owner. */
+    std::unique_ptr<FlashBackend> backend_;
     std::unique_ptr<Ftl> ftl_;
     std::unique_ptr<GcManager> gc_;
     std::unique_ptr<Nvmhc> nvmhc_;

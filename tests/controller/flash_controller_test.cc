@@ -166,7 +166,7 @@ TEST(FlashController, FrontCommitJumpsQueue)
     f.events.step(); // chip 0 now busy
     auto *host = f.make(FlashOp::Read, 0, 0, 0, 2);
     auto *gc = f.make(FlashOp::Read, 0, 0, 0, 3);
-    gc->isGc = true;
+    gc->owner = RequestOwner::Gc;
     f.ctrl->commit(host);
     f.ctrl->commit(gc, /*front=*/true);
     f.events.run();

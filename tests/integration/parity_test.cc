@@ -260,5 +260,24 @@ TEST(Parity, ShardedExecutionBitIdenticalWithFullStack)
     EXPECT_GT(soft, 0u);
 }
 
+TEST(Parity, ParityCompletionsRepollTheHostScheduler)
+{
+    // VAS stops composing while its next request's chip is busy. When
+    // the chip is busy with a parity request, only the device's
+    // scheduler re-poll after that parity completion restarts the
+    // host path; without it the event queue drains with host I/O
+    // still queued.
+    SsdConfig cfg = parityConfig();
+    cfg.scheduler = SchedulerKind::VAS;
+    const Trace trace = mixedTrace(1500, 0.5, 31);
+    Ssd ssd(cfg);
+    ssd.replay(trace);
+    ssd.events().run();
+    EXPECT_TRUE(ssd.nvmhc().idle());
+    const MetricsSnapshot m = ssd.metrics();
+    EXPECT_EQ(m.iosCompleted, trace.size());
+    EXPECT_GT(m.parityUpdates, 0u);
+}
+
 } // namespace
 } // namespace spk

@@ -151,5 +151,17 @@ TEST(SsdIntegration, ZeroLengthSubmitDies)
     EXPECT_DEATH(ssd.submitAt(0, false, 0, 0), "zero-length");
 }
 
+TEST(SsdIntegration, OversizedSubmitDies)
+{
+    Ssd ssd(config(SchedulerKind::VAS));
+    const std::uint64_t page = ssd.config().geometry.pageSizeBytes;
+    // 2^32 + 1 pages: the page count must not truncate to one page.
+    EXPECT_DEATH(ssd.submitAt(0, false, 0, ((1ull << 32) + 1) * page),
+                 "more than 2\\^32 - 1 pages");
+    // A byte range whose end wraps past 2^64.
+    EXPECT_DEATH(ssd.submitAt(0, false, UINT64_MAX - 10, 4096),
+                 "wraps past 2\\^64");
+}
+
 } // namespace
 } // namespace spk

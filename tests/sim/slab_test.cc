@@ -179,7 +179,7 @@ TEST(SlabGcCrossCheck, RandomBatchStormMatchesMapModel)
     std::vector<std::unique_ptr<FlashChip>> chips;
     std::vector<std::unique_ptr<Channel>> channels;
     std::vector<std::unique_ptr<FlashController>> controllers;
-    std::vector<FlashController *> raw;
+    std::unique_ptr<FlashBackend> backend;
     std::unique_ptr<GcManager> gc;
 
     MapModel model;
@@ -196,12 +196,12 @@ TEST(SlabGcCrossCheck, RandomBatchStormMatchesMapModel)
             events, *channels[c], channel_chips, FlashTiming{},
             geo.pageSizeBytes, 0, [&](MemoryRequest *req) {
                 ++completions;
-                model.observe(req->op, req->gcBatch);
+                model.observe(req->op, req->job);
                 gc->onRequestFinished(req);
             }));
-        raw.push_back(controllers.back().get());
     }
-    gc = std::make_unique<GcManager>(events, geo, raw, arena, nullptr);
+    backend = std::make_unique<FlashBackend>(geo, controllers, arena);
+    gc = std::make_unique<GcManager>(*backend);
 
     Rng rng(99);
     std::uint64_t launched = 0;

@@ -25,10 +25,9 @@ struct Fixture
     std::vector<std::unique_ptr<Channel>> channels;
     std::vector<std::unique_ptr<FlashChip>> chips;
     std::vector<std::unique_ptr<FlashController>> controllers;
-    std::vector<FlashController *> raw;
     Slab<MemoryRequest> arena;
+    std::unique_ptr<FlashBackend> backend;
     std::unique_ptr<GcManager> gc;
-    int drainedCalls = 0;
     int retiredCalls = 0;
 
     /** Every completed request in completion order (op recorded). */
@@ -55,11 +54,10 @@ struct Fixture
                     completedOps.push_back(req->op);
                     gc->onRequestFinished(req);
                 }));
-            raw.push_back(controllers.back().get());
         }
-        gc = std::make_unique<GcManager>(events, geo, raw, arena,
-                                         [this] { ++drainedCalls; },
-                                         cap);
+        backend =
+            std::make_unique<FlashBackend>(geo, controllers, arena);
+        gc = std::make_unique<GcManager>(*backend, cap);
         gc->setBatchRetiredHook([this] { ++retiredCalls; });
     }
 
@@ -153,17 +151,6 @@ TEST(GcManager, MultipleBatchesRunConcurrently)
     EXPECT_EQ(f.gc->stats().batches, 2u);
     EXPECT_EQ(f.gc->stats().erases, 2u);
     EXPECT_EQ(f.completedOps.size(), 2u * (2 + 2) + 2);
-}
-
-TEST(GcManager, ProgressCallbackFiresPerCompletion)
-{
-    Fixture f;
-    GcBatchList batches;
-    f.makeBatch(batches, 2);
-    f.gc->launch(batches);
-    f.events.run();
-    // One callback per finished GC request (2R + 2P + 1E).
-    EXPECT_EQ(f.drainedCalls, 5);
 }
 
 TEST(GcManager, UnknownCompletionDies)
