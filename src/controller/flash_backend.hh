@@ -76,12 +76,11 @@ class FlashBackend
         return routes_[chip].ctrl->outstanding(routes_[chip].offset);
     }
 
-    /** Same, excluding requests of host I/O @p tag. */
-    std::uint32_t
-    outstandingOthers(std::uint32_t chip, TagId tag) const
+    /** Whose outstanding requests global chip @p chip holds. */
+    ChipOwner
+    ownerOf(std::uint32_t chip) const
     {
-        return routes_[chip].ctrl->outstandingOthers(
-            routes_[chip].offset, tag);
+        return routes_[chip].ctrl->ownerOf(routes_[chip].offset);
     }
 
     /**

@@ -55,8 +55,10 @@ FlashController::commit(MemoryRequest *req, bool front)
     const std::size_t slot = tagSlot(req->tag);
     if (slot >= chip_state.perTag.size())
         chip_state.perTag.resize(slot + 1, 0);
-    chip_state.perTag[slot]++;
-    chip_state.tagTotal++;
+    if (chip_state.perTag[slot]++ == 0) {
+        chip_state.ownerSlots++;
+        chip_state.ownerXor ^= static_cast<std::uint32_t>(slot);
+    }
     if (front)
         chip_state.pending.push_front(req);
     else
@@ -77,17 +79,16 @@ FlashController::pendingCount(std::uint32_t chip_offset) const
     return static_cast<std::uint32_t>(state_.at(chip_offset).pending.size());
 }
 
-std::uint32_t
-FlashController::outstandingOthers(std::uint32_t chip_offset,
-                                   TagId tag) const
+ChipOwner
+FlashController::ownerOf(std::uint32_t chip_offset) const
 {
-    // Every outstanding request is accounted in perTag and tagTotal,
-    // so the foreign-I/O count is one subtraction.
+    // Slot 0 is GC / parity work, which never counts as one host I/O.
     const auto &cs = state_.at(chip_offset);
-    const std::size_t slot = tagSlot(tag);
-    const std::uint32_t mine =
-        slot < cs.perTag.size() ? cs.perTag[slot] : 0;
-    return cs.tagTotal - mine;
+    if (cs.ownerSlots == 0)
+        return {ChipOwner::Idle};
+    if (cs.ownerSlots == 1 && cs.ownerXor != 0)
+        return {ChipOwner::OneTag, static_cast<TagId>(cs.ownerXor - 1)};
+    return {ChipOwner::Other};
 }
 
 bool
@@ -238,10 +239,16 @@ void
 FlashController::completeRequest(PerChip &cs, MemoryRequest *req,
                                  Tick end)
 {
+    // Owner state is derived from these counts: a request finishing
+    // twice, or never committed here, would leave it wrong for the
+    // rest of the run.
     const std::size_t slot = tagSlot(req->tag);
-    if (slot < cs.perTag.size() && cs.perTag[slot] > 0) {
-        cs.perTag[slot]--;
-        cs.tagTotal--;
+    if (slot >= cs.perTag.size() || cs.perTag[slot] == 0)
+        panic("FlashController::completeRequest request not "
+              "outstanding on its chip");
+    if (--cs.perTag[slot] == 0) {
+        cs.ownerSlots--;
+        cs.ownerXor ^= static_cast<std::uint32_t>(slot);
     }
     req->finishedAt = end;
     onComplete_(req);
@@ -266,7 +273,7 @@ FlashController::applyFaults(std::uint32_t chip_offset,
             return false;
         if (out == ReadOutcome::Retry) {
             // Re-book the chip for the next ladder step. The request
-            // keeps its perTag/tagTotal accounting (it is still
+            // keeps its perTag accounting (it is still
             // outstanding from the scheduler's point of view) and
             // jumps the pending queue: a read mid-ladder blocks its
             // I/O until it resolves.

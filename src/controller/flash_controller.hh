@@ -101,13 +101,12 @@ class FlashController
     std::uint32_t outstanding(std::uint32_t chip_offset) const;
 
     /**
-     * Committed-but-unfinished requests on a chip that belong to a
-     * different I/O than @p tag. PAS-style schedulers use this: a
-     * chip whose queue only holds the same I/O's requests is not a
-     * conflict (per-chip flash queues, Section 5.1).
+     * Whose committed-but-unfinished requests a chip holds. PAS-style
+     * schedulers use this: a chip whose queue only holds the same
+     * I/O's requests is not a conflict (per-chip flash queues,
+     * Section 5.1). O(1).
      */
-    std::uint32_t outstandingOthers(std::uint32_t chip_offset,
-                                    TagId tag) const;
+    ChipOwner ownerOf(std::uint32_t chip_offset) const;
 
     /** Committed-but-unstarted requests on a chip. */
     std::uint32_t pendingCount(std::uint32_t chip_offset) const;
@@ -133,12 +132,14 @@ class FlashController
          */
         std::vector<std::uint32_t> perTag;
         /**
-         * Running sum of perTag. Decremented request-by-request during
-         * transaction completion (inFlight drops transaction-at-once),
-         * so mid-completion scheduler queries see each request leave
-         * individually.
+         * The perTag slots that are non-zero, as a count and an XOR:
+         * with one slot the XOR names it. Updated request-by-request
+         * during transaction completion (inFlight drops
+         * transaction-at-once), so mid-completion scheduler queries
+         * see each request leave individually.
          */
-        std::uint32_t tagTotal = 0;
+        std::uint32_t ownerSlots = 0;
+        std::uint32_t ownerXor = 0;
         /** Requests of the in-flight transaction (reused storage). */
         std::vector<MemoryRequest *> executing;
     };

@@ -17,7 +17,7 @@ Nvmhc::Nvmhc(EventQueue &events, Ftl &ftl, FlashBackend &backend,
       sched_(std::move(sched)),
       cfg_(cfg),
       onIoComplete_(std::move(on_io_complete)),
-      pending_(geo_.numChips())
+      pending_(geo_.numChips(), cfg.queueDepth)
 {
     if (cfg_.queueDepth == 0)
         fatal("Nvmhc: queue depth must be non-zero");

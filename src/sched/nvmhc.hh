@@ -105,9 +105,10 @@ struct NvmhcStats
  * request it composes next is the scheduler's decision (this is where
  * VAS / PAS / Sprinkler differ).
  *
- * The NVMHC is the SchedulerView: outstanding counts come from the
- * flash back end's flat route table and the controllers' incremental
- * counters, so a scheduler poll never allocates or walks a map.
+ * The NVMHC is the SchedulerView: outstanding counts and chip owners
+ * come from the flash back end's flat route table and the
+ * controllers' incremental counters, so a scheduler poll never
+ * allocates or walks a map.
  */
 class Nvmhc : private SchedulerView
 {
@@ -230,10 +231,9 @@ class Nvmhc : private SchedulerView
     {
         return backend_.outstanding(chip);
     }
-    std::uint32_t outstandingOthers(std::uint32_t chip,
-                                    TagId tag) const override
+    ChipOwner ownerOf(std::uint32_t chip) const override
     {
-        return backend_.outstandingOthers(chip, tag);
+        return backend_.ownerOf(chip);
     }
     bool schedulable(const MemoryRequest &req) const override
     {
@@ -316,8 +316,9 @@ class Nvmhc : private SchedulerView
      *  intrusive chains, allocation-free at steady state. */
     LpnChainMap lpnChain_;
 
-    /** Per-chip uncomposed host requests, read by the scheduler:
-     *  pushed at enqueue, unlinked at composeDone, moved on retarget. */
+    /** Per-chip and per-(chip, tag) uncomposed host requests, read
+     *  by the scheduler: pushed at enqueue, unlinked at composeDone,
+     *  moved on retarget. */
     ChipPendingIndex pending_;
 
     bool engineBusy_ = false;

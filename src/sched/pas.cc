@@ -19,20 +19,24 @@ PasScheduler::next(SchedulerContext &ctx)
     // The decision is "the first uncomposed request in queue order
     // that is hazard-free and whose chip holds no other I/O's work".
     // Request ids follow queue order and PAS never retargets, so every
-    // per-chip pending list is in id order: the answer is the lowest
-    // id among each list's first qualifying entry, and a list stops
-    // being read once its ids pass the best found so far.
+    // pending list is in id order: the answer is the lowest id among
+    // each chip's first qualifying entry, and a list stops being read
+    // once its ids pass the best found so far. Which entries of a chip
+    // qualify follows from its owner alone: all of them on an idle
+    // chip, only the owning I/O's on a chip working for one I/O, and
+    // none on a chip holding anything else.
     MemoryRequest *best = nullptr;
     const std::uint32_t n = ctx.geo->numChips();
     for (std::uint32_t chip = 0; chip < n; ++chip) {
-        for (MemoryRequest *req = ctx.pending->front(chip);
-             req != nullptr; req = req->chipNext) {
+        const ChipOwner owner = ctx.view->ownerOf(chip);
+        if (owner.kind == ChipOwner::Other)
+            continue; // busy chip: skip, commit elsewhere
+        const bool own = owner.kind == ChipOwner::OneTag;
+        for (MemoryRequest *req = own ? ctx.pending->frontOf(chip, owner.tag)
+                                      : ctx.pending->front(chip);
+             req != nullptr; req = own ? req->chipTagNext : req->chipNext) {
             if (best != nullptr && req->id > best->id)
                 break;
-            // The O(1) busy-chip test first; schedulable() may walk
-            // the queue for FUA barriers.
-            if (ctx.view->outstandingOthers(chip, req->tag) > 0)
-                continue; // busy chip: skip, commit elsewhere
             if (!ctx.view->schedulable(*req))
                 continue; // hazard: try the next request
             best = req;

@@ -43,12 +43,11 @@ class SchedulerView
     virtual std::uint32_t outstanding(std::uint32_t chip) const = 0;
 
     /**
-     * Same, excluding requests that belong to I/O @p tag (a chip whose
-     * per-chip queue only holds one's own I/O is not a conflict for a
-     * PAS-style scheduler).
+     * Whose committed-but-unfinished requests a global chip holds (a
+     * chip whose per-chip queue only holds one's own I/O is not a
+     * conflict for a PAS-style scheduler).
      */
-    virtual std::uint32_t outstandingOthers(std::uint32_t chip,
-                                            TagId tag) const = 0;
+    virtual ChipOwner ownerOf(std::uint32_t chip) const = 0;
 
     /**
      * Hazard gate: false while an older request on the same logical

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <concepts>
 #include <limits>
 #include <fstream>
 #include <mutex>
@@ -258,13 +260,51 @@ namespace
 constexpr const char *kPointColumns =
     "trace,scheduler,seed,variant,arbiter,fault,fidelity";
 
+// CSV rows are formatted into one reused string and written with one
+// call. Doubles print with max_digits10 significant digits (the bytes
+// of "%.17g"): they must round-trip so a CSV diff catches the same
+// drift the golden bit-pattern digests do.
+
+/** Append ',' and @p v to @p row. */
 void
-writePoint(std::ostream &os, const SweepPoint &p)
+appendField(std::string &row, std::string_view v)
 {
-    os << p.trace << ',' << schedulerKindName(p.scheduler) << ','
-       << p.seed << ',' << p.variant << ','
-       << arbiterKindName(p.arbiter) << ',' << p.fault << ','
-       << fidelityName(p.fidelity);
+    row += ',';
+    row += v;
+}
+
+void
+appendField(std::string &row, double v)
+{
+    char buf[32];
+    const auto res =
+        std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general,
+                      std::numeric_limits<double>::max_digits10);
+    row += ',';
+    row.append(buf, res.ptr);
+}
+
+template <std::integral T>
+void
+appendField(std::string &row, T v)
+{
+    char buf[24];
+    const auto res = std::to_chars(buf, buf + sizeof buf, v);
+    row += ',';
+    row.append(buf, res.ptr);
+}
+
+/** Start @p row with the sweep-point columns of @p p. */
+void
+startRow(std::string &row, const SweepPoint &p)
+{
+    row = p.trace;
+    appendField(row, schedulerKindName(p.scheduler));
+    appendField(row, p.seed);
+    appendField(row, p.variant);
+    appendField(row, arbiterKindName(p.arbiter));
+    appendField(row, p.fault);
+    appendField(row, fidelityName(p.fidelity));
 }
 
 /** The CSV columns of @p S's field table, each after a comma. */
@@ -278,20 +318,20 @@ writeColumns(std::ostream &os)
     });
 }
 
-/** @p s's value for each column of its field table, each after a
- *  comma. */
+/** Append @p s's value for each column of its field table, each
+ *  after a comma. */
 template <typename S>
 void
-writeValues(std::ostream &os, const S &s)
+appendValues(std::string &row, const S &s)
 {
-    S::forEachField([&os, &s](const auto &row) {
-        using Row = std::remove_cvref_t<decltype(row)>;
-        const auto &v = s.*row.member;
-        if constexpr (Row::width == 1) {
-            os << ',' << v;
-        } else if constexpr (Row::width > 1) {
-            for (std::size_t i = 0; i < Row::width; ++i)
-                os << ',' << v[i];
+    S::forEachField([&row, &s](const auto &field) {
+        using Field = std::remove_cvref_t<decltype(field)>;
+        const auto &v = s.*field.member;
+        if constexpr (Field::width == 1) {
+            appendField(row, v);
+        } else if constexpr (Field::width > 1) {
+            for (std::size_t i = 0; i < Field::width; ++i)
+                appendField(row, v[i]);
         }
     });
 }
@@ -307,24 +347,20 @@ SweepRunner::writeCsv(std::ostream &os) const
     os << kPointColumns << ",completed";
     writeColumns<MetricsSnapshot>(os);
     os << ",cell_seconds\n";
-    // max_digits10: doubles must round-trip so a CSV diff catches
-    // the same drift the golden bit-pattern digests do.
-    const auto old_precision =
-        os.precision(std::numeric_limits<double>::max_digits10);
+    std::string row;
     for (const auto &p : points_) {
-        writePoint(os, p);
-        os << ',' << (array_.completed(p.index) ? 1 : 0);
-        writeValues(os, array_.results()[p.index]);
+        startRow(row, p);
+        appendField(row, array_.completed(p.index) ? 1 : 0);
+        appendValues(row, array_.results()[p.index]);
         // Last column on purpose: wall time is the one
         // nondeterministic field; byte-exact CSV diffs drop it by
         // stripping the final column.
-        os << ','
-           << (p.index < array_.cellSeconds().size()
-                   ? array_.cellSeconds()[p.index]
-                   : 0.0)
-           << '\n';
+        appendField(row, p.index < array_.cellSeconds().size()
+                             ? array_.cellSeconds()[p.index]
+                             : 0.0);
+        row += '\n';
+        os.write(row.data(), static_cast<std::streamsize>(row.size()));
     }
-    os.precision(old_precision);
 }
 
 void
@@ -344,16 +380,15 @@ SweepRunner::writeStreamCsv(std::ostream &os) const
     os << kPointColumns;
     writeColumns<StreamMetrics>(os);
     os << '\n';
-    const auto old_precision =
-        os.precision(std::numeric_limits<double>::max_digits10);
+    std::string row;
     for (const auto &p : points_) {
         for (const auto &s : array_.results()[p.index].streams) {
-            writePoint(os, p);
-            writeValues(os, s);
-            os << '\n';
+            startRow(row, p);
+            appendValues(row, s);
+            row += '\n';
+            os.write(row.data(), static_cast<std::streamsize>(row.size()));
         }
     }
-    os.precision(old_precision);
 }
 
 void

@@ -116,19 +116,28 @@ TEST(FlashBackend, PlaceAgreesWithGeometryForEveryPage)
     }
 }
 
-TEST(FlashBackend, OutstandingOthersExcludesTheAskingIo)
+TEST(FlashBackend, OwnerOfNamesTheOneOwningIo)
 {
     Fixture f;
     const std::uint32_t chip = 4;
     const Ppn base = f.firstPageOf(chip);
+    EXPECT_EQ(f.backend->ownerOf(chip), ChipOwner{ChipOwner::Idle});
     f.backend->commit(f.hostRead(base, 1));
     f.backend->commit(f.hostRead(base + 1, 1));
+    EXPECT_EQ(f.backend->outstanding(chip), 2u);
+    EXPECT_EQ(f.backend->ownerOf(chip),
+              (ChipOwner{ChipOwner::OneTag, 1}));
     f.backend->commit(f.hostRead(base + 2, 2));
     EXPECT_EQ(f.backend->outstanding(chip), 3u);
-    EXPECT_EQ(f.backend->outstandingOthers(chip, 1), 1u);
-    EXPECT_EQ(f.backend->outstandingOthers(chip, 2), 2u);
-    EXPECT_EQ(f.backend->outstandingOthers(chip, 3), 3u);
+    EXPECT_EQ(f.backend->ownerOf(chip), ChipOwner{ChipOwner::Other});
+    // Every other chip, on this channel or another, stays idle.
+    for (std::uint32_t c = 0; c < f.geo.numChips(); ++c) {
+        if (c != chip) {
+            EXPECT_EQ(f.backend->ownerOf(c), ChipOwner{ChipOwner::Idle});
+        }
+    }
     f.events.run();
+    EXPECT_EQ(f.backend->ownerOf(chip), ChipOwner{ChipOwner::Idle});
 }
 
 TEST(FlashBackend, BackgroundIssueRunsAheadOfQueuedHostWork)
@@ -150,6 +159,7 @@ TEST(FlashBackend, BackgroundIssueRunsAheadOfQueuedHostWork)
     EXPECT_EQ(gc->chip, chip);
     EXPECT_TRUE(gc->composed);
     EXPECT_EQ(f.backend->outstanding(chip), 3u);
+    EXPECT_EQ(f.backend->ownerOf(chip), ChipOwner{ChipOwner::Other});
 
     f.events.run();
     EXPECT_LT(gc->startedAt, host->startedAt);

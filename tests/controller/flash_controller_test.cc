@@ -10,7 +10,9 @@
 #include <vector>
 
 #include "controller/flash_controller.hh"
+#include "controller/soft_decoder.hh"
 #include "flash/chip.hh"
+#include "flash/fault_model.hh"
 #include "sim/event_queue.hh"
 
 namespace spk
@@ -28,7 +30,9 @@ struct Fixture
     std::unique_ptr<FlashController> ctrl;
     std::vector<std::unique_ptr<MemoryRequest>> pool;
 
-    explicit Fixture(Tick window = 1000)
+    explicit Fixture(Tick window = 1000,
+                     const FaultModel *faults = nullptr,
+                     SoftDecoder *decoder = nullptr)
     {
         geo.numChannels = 1;
         geo.chipsPerChannel = 2;
@@ -42,7 +46,8 @@ struct Fixture
         ctrl = std::make_unique<FlashController>(
             events, channel, raw, FlashTiming{}, geo.pageSizeBytes,
             window,
-            [this](MemoryRequest *r) { completed.push_back(r); });
+            [this](MemoryRequest *r) { completed.push_back(r); },
+            faults, decoder);
     }
 
     MemoryRequest *
@@ -188,14 +193,103 @@ TEST(FlashController, OutstandingCountsLifecycle)
 {
     Fixture f;
     auto *req = f.make(FlashOp::Read, 0, 0, 0, 1);
+    req->tag = 2;
     f.ctrl->commit(req);
     EXPECT_EQ(f.ctrl->pendingCount(0), 1u);
     EXPECT_EQ(f.ctrl->outstanding(0), 1u);
+    EXPECT_EQ(f.ctrl->ownerOf(0), (ChipOwner{ChipOwner::OneTag, 2}));
     f.events.step(); // launch
     EXPECT_EQ(f.ctrl->pendingCount(0), 0u);
     EXPECT_EQ(f.ctrl->outstanding(0), 1u); // in flight
+    EXPECT_EQ(f.ctrl->ownerOf(0), (ChipOwner{ChipOwner::OneTag, 2}));
     f.events.run();
     EXPECT_EQ(f.ctrl->outstanding(0), 0u);
+    EXPECT_EQ(f.ctrl->ownerOf(0), ChipOwner{ChipOwner::Idle});
+}
+
+TEST(FlashController, OwnerFollowsHostTagsAndGcWork)
+{
+    Fixture f;
+    const ChipOwner idle{ChipOwner::Idle};
+    const ChipOwner tag3{ChipOwner::OneTag, 3};
+    EXPECT_EQ(f.ctrl->ownerOf(0), idle);
+
+    auto *a = f.make(FlashOp::Read, 0, 0, 0, 1);
+    auto *b = f.make(FlashOp::Read, 0, 0, 1, 1);
+    a->tag = 3;
+    b->tag = 3;
+    f.ctrl->commit(a);
+    EXPECT_EQ(f.ctrl->ownerOf(0), tag3);
+    f.ctrl->commit(b); // the same I/O again: still its chip alone
+    EXPECT_EQ(f.ctrl->ownerOf(0), tag3);
+    EXPECT_EQ(f.ctrl->ownerOf(1), idle);
+
+    // GC work ahead of the host I/O: the chip is no one I/O's any more.
+    auto *gc = f.make(FlashOp::Read, 0, 1, 0, 2);
+    gc->owner = RequestOwner::Gc;
+    f.ctrl->commit(gc, /*front=*/true);
+    EXPECT_EQ(f.ctrl->ownerOf(0), ChipOwner{ChipOwner::Other});
+
+    // GC work alone is not a host I/O either (slot 0).
+    auto *gc2 = f.make(FlashOp::Read, 1, 0, 0, 2);
+    gc2->owner = RequestOwner::Gc;
+    f.ctrl->commit(gc2, /*front=*/true);
+    EXPECT_EQ(f.ctrl->ownerOf(1), ChipOwner{ChipOwner::Other});
+
+    f.events.run();
+    EXPECT_EQ(f.completed.size(), 4u);
+    EXPECT_EQ(f.ctrl->ownerOf(0), idle);
+    EXPECT_EQ(f.ctrl->ownerOf(1), idle);
+}
+
+TEST(FlashController, OwnerHeldThroughReadRetryAndSoftDecode)
+{
+    FlashGeometry geo;
+    FaultConfig cfg;
+    cfg.readHardRate = 1.0; // every sense fails: retry, then decode
+    cfg.retryLadderSteps = 1;
+    cfg.softDecodeEnabled = true;
+    cfg.softDecodeFailRate = 0.0;
+    FaultModel faults(cfg, 1, geo);
+    SoftDecoder decoder;
+    Fixture f(1000, &faults, &decoder);
+    const ChipOwner tag5{ChipOwner::OneTag, 5};
+
+    auto *req = f.make(FlashOp::Read, 0, 0, 0, 1);
+    req->tag = 5;
+    f.ctrl->commit(req);
+    EXPECT_EQ(f.ctrl->ownerOf(0), tag5);
+
+    // First sense fails: the read is requeued at the head of its chip
+    // and the chip stays the I/O's.
+    while (f.ctrl->stats().readRetries == 0)
+        ASSERT_TRUE(f.events.step());
+    EXPECT_EQ(f.ctrl->pendingCount(0), 1u);
+    EXPECT_EQ(f.ctrl->ownerOf(0), tag5);
+
+    // Ladder exhausted: off the chip, in the decoder, still owned.
+    while (decoder.stats.invocations == 0)
+        ASSERT_TRUE(f.events.step());
+    EXPECT_EQ(f.ctrl->outstanding(0), 0u);
+    EXPECT_TRUE(f.completed.empty());
+    EXPECT_EQ(f.ctrl->ownerOf(0), tag5);
+
+    f.events.run();
+    ASSERT_EQ(f.completed.size(), 1u);
+    EXPECT_FALSE(req->faultFailed);
+    EXPECT_EQ(f.ctrl->ownerOf(0), ChipOwner{ChipOwner::Idle});
+}
+
+TEST(FlashControllerDeathTest, CompletingAnUncountedRequestDies)
+{
+    Fixture f;
+    auto *req = f.make(FlashOp::Read, 0, 0, 0, 1);
+    req->tag = 1;
+    f.ctrl->commit(req);
+    // Its I/O changes under the controller: the completion finds no
+    // outstanding request of tag 2 on the chip.
+    req->tag = 2;
+    EXPECT_DEATH(f.events.run(), "not outstanding");
 }
 
 TEST(FlashController, UntranslatedCommitDies)

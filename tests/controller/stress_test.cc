@@ -54,11 +54,37 @@ TEST_P(ControllerStress, InvariantsHold)
         raw.push_back(chips.back().get());
     }
 
+    // Brute-force owner model: outstanding requests per (chip, tag
+    // slot), kept from the commits and completions.
+    constexpr std::size_t kSlots = 9; // slot 0 + tags 0..7
+    std::vector<std::uint32_t> live(sc.chipsPerChannel * kSlots);
+    const auto liveOf = [&](const MemoryRequest *req) -> std::uint32_t & {
+        return live[req->addr.chipInChannel * kSlots + tagSlot(req->tag)];
+    };
+    const auto expectedOwner = [&](std::uint32_t c) {
+        std::uint32_t held = 0;
+        std::size_t last = 0;
+        for (std::size_t slot = 0; slot < kSlots; ++slot) {
+            if (live[c * kSlots + slot] > 0) {
+                ++held;
+                last = slot;
+            }
+        }
+        if (held == 0)
+            return ChipOwner{ChipOwner::Idle};
+        if (held == 1 && last != 0)
+            return ChipOwner{ChipOwner::OneTag,
+                             static_cast<TagId>(last - 1)};
+        return ChipOwner{ChipOwner::Other};
+    };
+
     std::map<const MemoryRequest *, int> completions;
     FlashController ctrl(
         events, channel, raw, FlashTiming{}, geo.pageSizeBytes,
-        sc.decisionWindow,
-        [&](MemoryRequest *req) { completions[req]++; });
+        sc.decisionWindow, [&](MemoryRequest *req) {
+            completions[req]++;
+            liveOf(req)--;
+        });
 
     Rng rng(sc.seed);
     std::vector<std::unique_ptr<MemoryRequest>> pool;
@@ -89,9 +115,13 @@ TEST_P(ControllerStress, InvariantsHold)
         const std::size_t burst =
             std::min<std::size_t>(1 + rng.nextBelow(8),
                                   pool.size() - next);
-        for (std::size_t i = 0; i < burst; ++i)
+        for (std::size_t i = 0; i < burst; ++i) {
+            liveOf(pool[next].get())++;
             ctrl.commit(pool[next++].get());
+        }
         events.run(rng.nextBelow(12));
+        for (std::uint32_t c = 0; c < sc.chipsPerChannel; ++c)
+            ASSERT_EQ(ctrl.ownerOf(c), expectedOwner(c)) << "chip " << c;
     }
     events.run();
 
@@ -104,7 +134,7 @@ TEST_P(ControllerStress, InvariantsHold)
     EXPECT_TRUE(ctrl.drained());
     for (std::uint32_t c = 0; c < sc.chipsPerChannel; ++c) {
         EXPECT_EQ(ctrl.outstanding(c), 0u);
-        EXPECT_EQ(ctrl.outstandingOthers(c, kInvalidTag), 0u);
+        EXPECT_EQ(ctrl.ownerOf(c), ChipOwner{ChipOwner::Idle});
     }
 
     // 3. Per-request timestamps are ordered.

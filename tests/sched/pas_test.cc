@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <random>
 #include <vector>
 
@@ -22,10 +24,14 @@ using test::SchedHarness;
 /**
  * Reference PAS: the walk over every page of every queued I/O that
  * the per-chip index replaced. First uncomposed request in queue
- * order that is hazard-free and whose chip holds no other I/O's work.
+ * order that is hazard-free and whose chip holds no other I/O's work,
+ * as counted by @p others (outstanding requests on a chip that belong
+ * to a different I/O than the given tag).
  */
 MemoryRequest *
-queueWalkPas(const SchedulerContext &ctx)
+queueWalkPas(const SchedulerContext &ctx,
+             const std::function<std::uint32_t(std::uint32_t, TagId)>
+                 &others)
 {
     for (IoRequest *io : *ctx.queue) {
         if (io->allComposed())
@@ -35,7 +41,7 @@ queueWalkPas(const SchedulerContext &ctx)
                 continue;
             if (!ctx.view->schedulable(*req))
                 continue;
-            if (ctx.view->outstandingOthers(req->chip, req->tag) > 0)
+            if (others(req->chip, req->tag) > 0)
                 continue;
             return req;
         }
@@ -74,8 +80,8 @@ TEST(Pas, OwnIoQueueIsNotAConflict)
     PasScheduler pas;
     // Per-chip flash queues: outstanding requests of the SAME I/O do
     // not block further commitment (enables same-I/O coalescing).
-    h.view.othersOverride = [&](std::uint32_t, TagId tag) {
-        return tag == io->tag ? 0u : 1u;
+    h.view.ownerOverride = [&](std::uint32_t) {
+        return ChipOwner{ChipOwner::OneTag, io->tag};
     };
     EXPECT_EQ(pas.next(h.ctx), io->pages[0]);
 }
@@ -151,16 +157,35 @@ TEST(Pas, MatchesQueueWalkOnRandomQueues)
             pages += targets.size();
         }
 
-        // Busy-with-others verdict per (chip, tag) and a hazard
-        // verdict per request, redrawn before every decision.
-        const auto tags = static_cast<std::size_t>(h.nextTag);
-        std::vector<std::uint8_t> busy(chips * tags);
+        // One owner state per chip, redrawn before every decision as
+        // outstanding counts per tag slot (slot 0 = GC / parity work).
+        // The reference reads the counts, PAS reads the owner. Owner
+        // tags range past the queued I/Os: a tag can own a chip with
+        // nothing of it pending there.
+        const auto tags = static_cast<TagId>(h.nextTag + 2);
+        const std::size_t slots = std::size_t{tags} + 1;
+        std::vector<std::uint32_t> counts(chips * slots);
+        std::vector<ChipOwner> owner(chips);
         std::vector<std::uint8_t> hazard(h.nextReqId);
-        h.view.othersOverride = [&](std::uint32_t chip, TagId tag) {
-            return std::uint32_t{busy[chip * tags + tag]};
+        h.view.ownerOverride = [&](std::uint32_t chip) {
+            return owner[chip];
         };
         h.view.schedulableOverride = [&](const MemoryRequest &req) {
             return hazard[req.id] == 0;
+        };
+        const auto others = [&](std::uint32_t chip, TagId tag) {
+            std::uint32_t sum = 0;
+            for (std::size_t slot = 0; slot < slots; ++slot) {
+                if (slot != tagSlot(tag))
+                    sum += counts[chip * slots + slot];
+            }
+            return sum;
+        };
+        const auto draw_tag = [&] {
+            return static_cast<TagId>(below(tags));
+        };
+        const auto count = [&] {
+            return static_cast<std::uint32_t>(1 + below(3));
         };
 
         PasScheduler pas;
@@ -168,12 +193,40 @@ TEST(Pas, MatchesQueueWalkOnRandomQueues)
         for (int step = 0; composed < pages && step < 400; ++step) {
             const auto busy_pct = below(100);
             const auto hazard_pct = below(60);
-            for (auto &b : busy)
-                b = below(100) < busy_pct ? 1 : 0;
+            std::fill(counts.begin(), counts.end(), 0u);
+            for (std::uint32_t chip = 0; chip < chips; ++chip) {
+                std::uint32_t *row = &counts[chip * slots];
+                owner[chip] = {ChipOwner::Other};
+                if (below(100) >= busy_pct) {
+                    owner[chip] = {ChipOwner::Idle};
+                    continue;
+                }
+                switch (below(3)) {
+                  case 0: { // one host I/O alone
+                    const TagId tag = draw_tag();
+                    row[tagSlot(tag)] = count();
+                    owner[chip] = {ChipOwner::OneTag, tag};
+                    break;
+                  }
+                  case 1: // GC / parity work, maybe beside a host I/O
+                    row[0] = count();
+                    if (below(2) == 0)
+                        row[tagSlot(draw_tag())] = count();
+                    break;
+                  default: { // several host I/Os
+                    const TagId a = draw_tag();
+                    const auto b = static_cast<TagId>(
+                        (a + 1 + below(tags - 1)) % tags);
+                    row[tagSlot(a)] = count();
+                    row[tagSlot(b)] = count();
+                    break;
+                  }
+                }
+            }
             for (auto &z : hazard)
                 z = below(100) < hazard_pct ? 1 : 0;
 
-            MemoryRequest *expected = queueWalkPas(h.ctx);
+            MemoryRequest *expected = queueWalkPas(h.ctx, others);
             MemoryRequest *got = pas.next(h.ctx);
             ASSERT_EQ(got, expected)
                 << "trial " << trial << " step " << step;

@@ -29,7 +29,7 @@ namespace test
 struct TestSchedulerView : SchedulerView
 {
     std::map<std::uint32_t, std::uint32_t> outstandingMap;
-    std::function<std::uint32_t(std::uint32_t, TagId)> othersOverride;
+    std::function<ChipOwner(std::uint32_t)> ownerOverride;
     std::function<bool(const MemoryRequest &)> schedulableOverride;
 
     std::uint32_t
@@ -39,14 +39,16 @@ struct TestSchedulerView : SchedulerView
         return it == outstandingMap.end() ? 0u : it->second;
     }
 
-    // Tests treat the outstanding map as foreign-I/O work, so the two
-    // views coincide unless a test installs an override.
-    std::uint32_t
-    outstandingOthers(std::uint32_t chip, TagId tag) const override
+    // Tests treat the outstanding map as foreign-I/O work: a chip with
+    // outstanding requests is owned by "other" unless a test installs
+    // an override.
+    ChipOwner
+    ownerOf(std::uint32_t chip) const override
     {
-        if (othersOverride)
-            return othersOverride(chip, tag);
-        return outstanding(chip);
+        if (ownerOverride)
+            return ownerOverride(chip);
+        return {outstanding(chip) > 0 ? ChipOwner::Other
+                                      : ChipOwner::Idle};
     }
 
     bool
@@ -73,13 +75,16 @@ struct SchedHarness
     std::uint64_t nextReqId = 0;
     TagId nextTag = 0;
 
+    /** Tags the pending index is sized for (addIo calls per test). */
+    static constexpr TagId kMaxTags = 64;
+
     SchedHarness()
     {
         geo.numChannels = 2;
         geo.chipsPerChannel = 2;
         geo.diesPerChip = 2;
         geo.planesPerDie = 2;
-        pending = ChipPendingIndex(geo.numChips());
+        pending = ChipPendingIndex(geo.numChips(), kMaxTags);
         ctx.geo = &geo;
         ctx.queue = &queue;
         ctx.pending = &pending;
