@@ -10,7 +10,7 @@
  * as stall time and shapes the fault sweep's p99 before die-parity
  * reconstruction ever kicks in.
  *
- * The struct is plain state — the flash controllers drive it — so a
+ * The struct is plain state — the flash controller drives it — so a
  * sharded DeviceArray run stays bit-identical to a sequential one
  * (each device owns its decoder and its own event queue).
  */

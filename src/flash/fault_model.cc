@@ -125,9 +125,7 @@ FaultModel::dieDead(Ppn ppn, Tick now) const
     if (dieRevivedTick_ != 0 && now >= dieRevivedTick_)
         return false;
     const PhysAddr addr = geo_.decompose(ppn);
-    return geo_.chipIndex(addr.channel, addr.chipInChannel) ==
-               cfg_.dieFailChip &&
-           addr.die == cfg_.dieFailDie;
+    return addr.chip == cfg_.dieFailChip && addr.die == cfg_.dieFailDie;
 }
 
 bool

@@ -11,10 +11,10 @@ namespace spk
  * Dense Ppn layout (fastest-varying last):
  *   chip, die, plane, block, page
  * so consecutive pages within a block are consecutive Ppns and the
- * chip index occupies the top bits. chipIndex itself interleaves
- * channels first (chip = chipInChannel * numChannels + channel) so
- * that consecutive chip indices land on different channels — the
- * stripe order RIOS traverses.
+ * global chip index occupies the top bits. Chips stripe across
+ * channels (channelOfChip(chip) = chip % numChannels), so consecutive
+ * chip indices land on different channels — the stripe order RIOS
+ * traverses.
  */
 
 PhysAddr
@@ -29,17 +29,14 @@ FlashGeometry::decompose(Ppn ppn) const
     ppn /= planesPerDie;
     addr.die = static_cast<std::uint32_t>(ppn % diesPerChip);
     ppn /= diesPerChip;
-    const auto chip = static_cast<std::uint32_t>(ppn);
-    addr.channel = channelOfChip(chip);
-    addr.chipInChannel = chipOffsetOfChip(chip);
+    addr.chip = static_cast<std::uint32_t>(ppn);
     return addr;
 }
 
 Ppn
 FlashGeometry::compose(const PhysAddr &addr) const
 {
-    const std::uint64_t chip = chipIndex(addr.channel, addr.chipInChannel);
-    std::uint64_t ppn = chip;
+    std::uint64_t ppn = addr.chip;
     ppn = ppn * diesPerChip + addr.die;
     ppn = ppn * planesPerDie + addr.plane;
     ppn = ppn * blocksPerPlane + addr.block;

@@ -36,8 +36,7 @@ inline constexpr std::uint32_t kMaxTxnRequests =
 /** Decomposed physical flash address. */
 struct PhysAddr
 {
-    std::uint32_t channel = 0;
-    std::uint32_t chipInChannel = 0; //!< chip offset within its channel
+    std::uint32_t chip = 0; //!< global chip index
     std::uint32_t die = 0;
     std::uint32_t plane = 0;
     std::uint32_t block = 0; //!< block index within the plane
@@ -93,25 +92,12 @@ struct FlashGeometry
         return totalPages() * pageSizeBytes;
     }
 
-    /** Global chip index from (channel, chipInChannel). */
-    std::uint32_t
-    chipIndex(std::uint32_t channel, std::uint32_t chip_in_channel) const
-    {
-        return chip_in_channel * numChannels + channel;
-    }
-
-    /** Channel a global chip index lives on. */
+    /** Channel (bus) a global chip index lives on: chips stripe
+     *  across channels, so consecutive chips sit on different buses. */
     std::uint32_t
     channelOfChip(std::uint32_t chip_index) const
     {
         return chip_index % numChannels;
-    }
-
-    /** Chip offset within its channel for a global chip index. */
-    std::uint32_t
-    chipOffsetOfChip(std::uint32_t chip_index) const
-    {
-        return chip_index / numChannels;
     }
 
     /** Decompose a dense physical page number. */

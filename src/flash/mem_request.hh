@@ -59,7 +59,6 @@ struct MemoryRequest
     Lpn lpn = kInvalidPage;
     Ppn ppn = kInvalidPage;
     PhysAddr addr;              //!< valid once translated
-    std::uint32_t chip = 0;     //!< global chip index (from addr)
 
     /** Owner-side job slot: the GC engine's batch or the parity
      *  engine's job; unused for host requests. */
@@ -105,9 +104,10 @@ struct MemoryRequest
 };
 
 // Every queued page of every device lives in one of these: the small
-// fields share one 8-byte word so the two pending-index links cost no
-// memory (a larger request raises a full device's peak RSS).
-static_assert(sizeof(MemoryRequest) <= 152,
+// fields share one 8-byte word, and the chip is stored once (in addr),
+// so a request is 144 B on LP64 (a larger request raises a full
+// device's peak RSS).
+static_assert(sizeof(MemoryRequest) <= 144,
               "MemoryRequest grew: repack fields before adding any");
 
 } // namespace spk

@@ -93,7 +93,7 @@ FlashTransaction::valid() const
     std::array<std::uint32_t, kMaxDiesPerChip> plane_use{};
     std::array<std::uint32_t, kMaxDiesPerChip> die_page{};
     for (const auto *req : requests_) {
-        if (!req->translated || req->chip != chip_ || req->op != op_)
+        if (!req->translated || req->addr.chip != chip_ || req->op != op_)
             return false;
         if (req->addr.die >= kMaxDiesPerChip ||
             req->addr.plane >= kMaxPlanesPerDie) {
@@ -116,7 +116,7 @@ canCoalesce(const FlashTransaction &txn, const MemoryRequest &req)
 {
     if (txn.empty())
         return true;
-    if (!req.translated || req.chip != txn.chip() || req.op != txn.op())
+    if (!req.translated || req.addr.chip != txn.chip() || req.op != txn.op())
         return false;
     for (const auto *existing : txn.requests()) {
         if (existing->addr.die != req.addr.die)

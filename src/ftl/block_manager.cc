@@ -64,8 +64,7 @@ BlockManager::freePopFront(std::uint64_t plane_idx)
 std::uint64_t
 BlockManager::planeIndexOf(const PhysAddr &addr) const
 {
-    const std::uint64_t chip = geo_.chipIndex(addr.channel,
-                                              addr.chipInChannel);
+    const std::uint64_t chip = addr.chip;
     const std::uint64_t die_plane =
         std::uint64_t{addr.die} * geo_.planesPerDie + addr.plane;
     const std::uint64_t planes_per_chip =
@@ -97,9 +96,7 @@ BlockManager::planeAddr(std::uint64_t plane_idx) const
         break;
     }
     PhysAddr addr;
-    addr.channel = geo_.channelOfChip(static_cast<std::uint32_t>(chip));
-    addr.chipInChannel =
-        geo_.chipOffsetOfChip(static_cast<std::uint32_t>(chip));
+    addr.chip = static_cast<std::uint32_t>(chip);
     addr.die = static_cast<std::uint32_t>(die_plane / geo_.planesPerDie);
     addr.plane = static_cast<std::uint32_t>(die_plane % geo_.planesPerDie);
     return addr;

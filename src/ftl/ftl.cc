@@ -443,8 +443,7 @@ void
 Ftl::markDieDead(std::uint32_t chip, std::uint32_t die)
 {
     PhysAddr addr;
-    addr.channel = geo_.channelOfChip(chip);
-    addr.chipInChannel = geo_.chipOffsetOfChip(chip);
+    addr.chip = chip;
     addr.die = die;
     for (std::uint32_t p = 0; p < geo_.planesPerDie; ++p) {
         addr.plane = p;
@@ -491,8 +490,7 @@ Ftl::reviveDie(std::uint32_t chip, std::uint32_t die)
             panic("Ftl::reviveDie: live mapped page still on the die");
     }
     PhysAddr addr;
-    addr.channel = geo_.channelOfChip(chip);
-    addr.chipInChannel = geo_.chipOffsetOfChip(chip);
+    addr.chip = chip;
     addr.die = die;
     for (std::uint32_t p = 0; p < geo_.planesPerDie; ++p) {
         addr.plane = p;

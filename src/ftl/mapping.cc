@@ -8,8 +8,7 @@ namespace spk
 PageMapping::PageMapping(const FlashGeometry &geo,
                          std::uint64_t logical_pages)
     : l2p_(logical_pages, kInvalidPage),
-      p2l_(geo.totalPages(), kInvalidPage),
-      valid_(geo.totalPages(), false)
+      p2l_(geo.totalPages(), kInvalidPage)
 {
     if (logical_pages > geo.totalPages())
         fatal("PageMapping: logical capacity exceeds physical capacity");
@@ -34,9 +33,9 @@ PageMapping::reverseLookup(Ppn ppn) const
 bool
 PageMapping::isValid(Ppn ppn) const
 {
-    if (ppn >= valid_.size())
+    if (ppn >= p2l_.size())
         panic("PageMapping::isValid out-of-range ppn");
-    return valid_[ppn];
+    return p2l_[ppn] != kInvalidPage;
 }
 
 Ppn
@@ -46,18 +45,16 @@ PageMapping::bind(Lpn lpn, Ppn ppn)
         panic("PageMapping::bind out-of-range lpn");
     if (ppn >= p2l_.size())
         panic("PageMapping::bind out-of-range ppn");
-    if (valid_[ppn])
+    if (p2l_[ppn] != kInvalidPage)
         panic("PageMapping::bind to a page that already holds live data");
 
     const Ppn old = l2p_[lpn];
     if (old != kInvalidPage) {
-        valid_[old] = false;
         p2l_[old] = kInvalidPage;
         --live_;
     }
     l2p_[lpn] = ppn;
     p2l_[ppn] = lpn;
-    valid_[ppn] = true;
     ++live_;
     return old;
 }
@@ -65,14 +62,13 @@ PageMapping::bind(Lpn lpn, Ppn ppn)
 void
 PageMapping::invalidatePhysical(Ppn ppn)
 {
-    if (ppn >= valid_.size())
+    if (ppn >= p2l_.size())
         panic("PageMapping::invalidatePhysical out-of-range ppn");
-    if (!valid_[ppn])
-        return;
     const Lpn lpn = p2l_[ppn];
-    if (lpn != kInvalidPage && lpn < l2p_.size() && l2p_[lpn] == ppn)
+    if (lpn == kInvalidPage)
+        return;
+    if (l2p_[lpn] == ppn)
         l2p_[lpn] = kInvalidPage;
-    valid_[ppn] = false;
     p2l_[ppn] = kInvalidPage;
     --live_;
 }

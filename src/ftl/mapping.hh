@@ -2,8 +2,9 @@
  * @file
  * Pure page-level address mapping (logical page -> physical page).
  *
- * Keeps the forward map, the reverse map (for garbage collection) and
- * per-page valid bits. The paper's FTL is "a pure page-level address
+ * Keeps the forward map and the reverse map (for garbage collection);
+ * a physical page is valid exactly when the reverse map names a
+ * logical page for it. The paper's FTL is "a pure page-level address
  * mapping FTL" (Section 5.1); this is that.
  */
 
@@ -22,9 +23,9 @@ namespace spk
 /**
  * Page-level mapping table.
  *
- * All tables are dense vectors indexed by Lpn / Ppn; the geometry's
- * page counts bound both spaces. Valid bits live here (not in the
- * block manager) because validity is a property of the mapping.
+ * Both tables are dense vectors indexed by Lpn / Ppn; the geometry's
+ * page counts bound both spaces. Validity lives here (not in the
+ * block manager) because it is a property of the mapping.
  */
 class PageMapping
 {
@@ -62,8 +63,7 @@ class PageMapping
 
   private:
     std::vector<Ppn> l2p_;
-    std::vector<Lpn> p2l_;
-    std::vector<bool> valid_;
+    std::vector<Lpn> p2l_; //!< kInvalidPage = free or stale
     std::uint64_t live_ = 0;
 };
 

@@ -38,9 +38,7 @@ StripeId
 StripeParityMap::stripeOf(Ppn ppn) const
 {
     const PhysAddr addr = geo_.decompose(ppn);
-    const std::uint32_t chip =
-        geo_.chipIndex(addr.channel, addr.chipInChannel);
-    return chipStripeBase(chip) + stripeOffsetInChip(geo_, addr);
+    return chipStripeBase(addr.chip) + stripeOffsetInChip(geo_, addr);
 }
 
 std::uint32_t
@@ -61,8 +59,7 @@ StripeParityMap::memberPpn(StripeId stripe, std::uint32_t die) const
         static_cast<std::uint32_t>(stripe / stripesPerChip_);
     const std::uint64_t in_chip = stripe % stripesPerChip_;
     PhysAddr addr;
-    addr.channel = geo_.channelOfChip(chip);
-    addr.chipInChannel = geo_.chipOffsetOfChip(chip);
+    addr.chip = chip;
     addr.die = die;
     addr.page = static_cast<std::uint32_t>(in_chip % geo_.pagesPerBlock);
     addr.block = static_cast<std::uint32_t>(
@@ -101,21 +98,17 @@ StripeParityMap::fullyWritten(StripeId stripe) const
 void
 StripeParityMap::clearBlock(Ppn block_base_ppn, std::uint32_t die)
 {
-    const PhysAddr base = geo_.decompose(block_base_ppn);
-    const std::uint32_t chip =
-        geo_.chipIndex(base.channel, base.chipInChannel);
-    PhysAddr addr = base;
-    addr.die = 0;
+    PhysAddr addr = geo_.decompose(block_base_ppn);
     addr.page = 0;
     const StripeId first =
-        chipStripeBase(chip) + stripeOffsetInChip(geo_, addr);
+        chipStripeBase(addr.chip) + stripeOffsetInChip(geo_, addr);
     for (std::uint32_t pg = 0; pg < geo_.pagesPerBlock; ++pg) {
         const StripeId s = first + pg;
         const std::uint32_t bit = maskBit(die);
         if (!(masks_[s] & bit))
             continue;
         masks_[s] &= ~bit;
-        const std::uint32_t pdie = parityDieOf(base.block, pg, dies_);
+        const std::uint32_t pdie = parityDieOf(addr.block, pg, dies_);
         // Losing a data member while others remain makes the stored
         // parity stale; drop its flag so nobody reconstructs from it.
         if (die != pdie && dataMask(s) != 0)

@@ -56,22 +56,22 @@ class ChipPendingIndex
         if (req->tag >= numTags_)
             panic("ChipPendingIndex::pushBack tag out of range");
         append<&MemoryRequest::chipPrev, &MemoryRequest::chipNext>(
-            lists_[req->chip], req);
+            lists_[req->addr.chip], req);
         append<&MemoryRequest::chipTagPrev, &MemoryRequest::chipTagNext>(
-            lists_[tagIndex(req->chip, req->tag)], req);
+            lists_[tagIndex(req->addr.chip, req->tag)], req);
     }
 
     /** Remove @p req from both of its lists. */
     void
     unlink(MemoryRequest *req)
     {
-        List &list = lists_[req->chip];
+        List &list = lists_[req->addr.chip];
         if (req->chipPrev == nullptr && list.head != req)
             panic("ChipPendingIndex::unlink request not listed");
         remove<&MemoryRequest::chipPrev, &MemoryRequest::chipNext>(list,
                                                                    req);
         remove<&MemoryRequest::chipTagPrev, &MemoryRequest::chipTagNext>(
-            lists_[tagIndex(req->chip, req->tag)], req);
+            lists_[tagIndex(req->addr.chip, req->tag)], req);
     }
 
     /** Oldest entry on @p chip (walk on with chipNext); or nullptr. */

@@ -106,9 +106,9 @@ struct NvmhcStats
  * VAS / PAS / Sprinkler differ).
  *
  * The NVMHC is the SchedulerView: outstanding counts and chip owners
- * come from the flash back end's flat route table and the
- * controllers' incremental counters, so a scheduler poll never
- * allocates or walks a map.
+ * come from the flash back end's per-chip incremental counters,
+ * indexed by global chip, so a scheduler poll never allocates or
+ * walks a map.
  */
 class Nvmhc : private SchedulerView
 {

@@ -189,9 +189,9 @@ SprinklerScheduler::nextFaroOnly(SchedulerContext &ctx)
                 continue;
             if (!ctx.view->schedulable(*req))
                 continue;
-            if (faroPerChip_[req->chip].empty())
-                faroTouched_.push_back(req->chip);
-            faroPerChip_[req->chip].push_back(req);
+            if (faroPerChip_[req->addr.chip].empty())
+                faroTouched_.push_back(req->addr.chip);
+            faroPerChip_[req->addr.chip].push_back(req);
         }
         if (++seen >= kLookaheadIos)
             break;

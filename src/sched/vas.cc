@@ -21,7 +21,7 @@ VasScheduler::next(SchedulerContext &ctx)
             // VAS commits blindly and the commitment pipeline blocks
             // on the chip's R/B: model as head-of-line stall while the
             // target chip has outstanding requests.
-            if (ctx.view->outstanding(req->chip) > 0)
+            if (ctx.view->outstanding(req->addr.chip) > 0)
                 return nullptr;
             return req;
         }

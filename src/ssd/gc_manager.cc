@@ -18,20 +18,7 @@ GcManager::GcManager(FlashBackend &backend,
     const std::size_t planes = std::size_t{geo.numChips()} *
                                geo.diesPerChip * geo.planesPerDie;
     batches_.reserve(planes * maxLivePerPlane_);
-    freeSlots_.reserve(planes * maxLivePerPlane_);
     livePerPlane_.assign(planes, 0);
-}
-
-std::uint32_t
-GcManager::acquireBatchSlot()
-{
-    if (freeSlots_.empty()) {
-        batches_.emplace_back();
-        return static_cast<std::uint32_t>(batches_.size() - 1);
-    }
-    const std::uint32_t slot = freeSlots_.back();
-    freeSlots_.pop_back();
-    return slot;
 }
 
 void
@@ -48,15 +35,12 @@ GcManager::launch(const GcBatchList &batches, bool urgent)
             ++stats_.overCapLaunches;
         }
         ++livePerPlane_[batch.planeIdx];
-        const std::uint32_t slot = acquireBatchSlot();
+        const std::uint32_t slot = batches_.acquire();
         BatchSlot &active = batches_[slot];
         active.victimBasePpn = batch.victimBasePpn;
         active.planeIdx = batch.planeIdx;
         active.remainingPrograms = batch.migrations.size();
-        active.eraseIssued = false;
         active.eraseAfter = batch.eraseAfter;
-        active.live = true;
-        ++liveBatches_;
         ++stats_.batches;
 
         if (batch.migrations.empty()) {
@@ -86,14 +70,11 @@ GcManager::launch(const GcBatchList &batches, bool urgent)
 void
 GcManager::retireSlot(std::uint32_t slot)
 {
-    BatchSlot &batch = batches_[slot];
-    batch.live = false;
-    const std::uint64_t plane = batch.planeIdx;
+    const std::uint64_t plane = batches_[slot].planeIdx;
     if (livePerPlane_[plane] == 0)
         panic("GcManager: per-plane live count underflow");
     --livePerPlane_[plane];
-    freeSlots_.push_back(slot);
-    --liveBatches_;
+    batches_.retire(slot);
     // The plane regained an admission share: let the device retry
     // any collection the bound deferred.
     if (onBatchRetired_)
@@ -103,11 +84,10 @@ GcManager::retireSlot(std::uint32_t slot)
 void
 GcManager::onRequestFinished(MemoryRequest *req)
 {
-    const std::uint32_t slot = req->job;
-    if (req->owner != RequestOwner::Gc || slot >= batches_.size() ||
-        !batches_[slot].live) {
+    if (req->owner != RequestOwner::Gc)
         panic("GcManager: completion for unknown GC request");
-    }
+    const std::uint32_t slot = req->job;
+    batches_.expectLive(slot, "GcManager");
     const FlashOp op = req->op;
     const Ppn pair = req->gcPairPpn;
     const Ppn ppn = req->ppn;

@@ -27,6 +27,7 @@
 #include "controller/flash_backend.hh"
 #include "flash/mem_request.hh"
 #include "ftl/ftl.hh"
+#include "sim/slot_table.hh"
 
 namespace spk
 {
@@ -126,7 +127,7 @@ class GcManager
     void onRequestFinished(MemoryRequest *req);
 
     /** True when no GC work is outstanding. */
-    bool idle() const { return liveBatches_ == 0; }
+    bool idle() const { return batches_.liveCount() == 0; }
 
     const GcManagerStats &stats() const { return stats_; }
 
@@ -142,25 +143,20 @@ class GcManager
         std::uint64_t remainingPrograms = 0;
         bool eraseIssued = false;
         bool eraseAfter = true; //!< false: retirement batch, no erase
-        bool live = false;
     };
 
-    /** Acquire a free batch slot, growing the flat table if needed. */
-    std::uint32_t acquireBatchSlot();
-
-    /** Recycle a finished batch slot and fire the retirement hook. */
+    /** Recycle a finished batch slot and its admission share, then
+     *  fire the retirement hook. */
     void retireSlot(std::uint32_t slot);
 
     FlashBackend &backend_;
     std::function<void()> onBatchRetired_;
     std::function<Ppn(Ppn)> onProgramFail_;
 
-    std::vector<BatchSlot> batches_;       //!< flat recycled-slot table
-    std::vector<std::uint32_t> freeSlots_; //!< recycled slot ids (LIFO)
+    SlotTable<BatchSlot> batches_;
     /** Live batches per plane (admission accounting). */
     std::vector<std::uint32_t> livePerPlane_;
     std::uint32_t maxLivePerPlane_;
-    std::uint32_t liveBatches_ = 0;
     std::uint64_t nextReqId_ = 1ull << 60; //!< distinct from host ids
     GcManagerStats stats_;
 };

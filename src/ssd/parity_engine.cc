@@ -22,44 +22,17 @@ ParityEngine::ParityEngine(EventQueue &events, Ftl &ftl,
         panic("ParityEngine: FTL has no stripe map (parity off)");
 }
 
-std::uint32_t
-ParityEngine::acquireSlot()
-{
-    std::uint32_t slot;
-    if (freeSlots_.empty()) {
-        jobs_.emplace_back();
-        slot = static_cast<std::uint32_t>(jobs_.size() - 1);
-    } else {
-        slot = freeSlots_.back();
-        freeSlots_.pop_back();
-    }
-    jobs_[slot] = JobSlot{};
-    jobs_[slot].live = true;
-    ++liveJobs_;
-    return slot;
-}
-
-void
-ParityEngine::retireSlot(std::uint32_t slot)
-{
-    jobs_[slot].live = false;
-    jobs_[slot].origin = nullptr;
-    freeSlots_.push_back(slot);
-    --liveJobs_;
-}
-
 void
 ParityEngine::onDataProgram(Ppn ppn)
 {
     map_.markDataWritten(ppn);
     const StripeId stripe = map_.stripeOf(ppn);
     const PhysAddr addr = geo_.decompose(ppn);
-    const std::uint32_t chip = geo_.chipOf(ppn);
 
     // A stripe whose parity slot sits on the failed die cannot be
     // protected until the die revives; membership is still recorded so
     // a later close (post-revival writes) covers it.
-    if (dieIsDead(chip, map_.parityDie(stripe)))
+    if (dieIsDead(addr.chip, map_.parityDie(stripe)))
         return;
 
     if (map_.parityWritten(stripe)) {
@@ -126,7 +99,7 @@ ParityEngine::closeStripe(StripeId stripe, const OpenStripe &os)
         return;
     }
 
-    const std::uint32_t slot = acquireSlot();
+    const std::uint32_t slot = jobs_.acquire();
     JobSlot &job = jobs_[slot];
     job.kind = JobKind::Close;
     job.stripe = stripe;
@@ -157,7 +130,7 @@ ParityEngine::closeStripe(StripeId stripe, const OpenStripe &os)
 void
 ParityEngine::startRmw(StripeId stripe)
 {
-    const std::uint32_t slot = acquireSlot();
+    const std::uint32_t slot = jobs_.acquire();
     JobSlot &job = jobs_[slot];
     job.kind = JobKind::Close;
     job.stripe = stripe;
@@ -185,12 +158,11 @@ ParityEngine::tryReconstruct(MemoryRequest *req)
         map_.mask(stripe) & ~(1u << addr.die);
     if (survivors == 0)
         return false;
-    const std::uint32_t chip = geo_.chipOf(ppn);
-    if (deadActive_ && chip == deadChip_ && addr.die != deadDie_ &&
+    if (deadActive_ && addr.chip == deadChip_ && addr.die != deadDie_ &&
         (survivors & (1u << deadDie_)) != 0)
         return false; // a needed survivor is itself on the dead die
 
-    const std::uint32_t slot = acquireSlot();
+    const std::uint32_t slot = jobs_.acquire();
     JobSlot &job = jobs_[slot];
     job.kind = JobKind::Reconstruct;
     job.stripe = stripe;
@@ -290,7 +262,7 @@ ParityEngine::rebuildStep()
     if (map_.parityWritten(stripe))
         survivors = map_.mask(stripe) & ~(1u << deadDie_);
 
-    const std::uint32_t slot = acquireSlot();
+    const std::uint32_t slot = jobs_.acquire();
     JobSlot &job = jobs_[slot];
     job.kind = JobKind::Rebuild;
     job.stripe = stripe;
@@ -318,15 +290,14 @@ ParityEngine::rebuildStep()
 void
 ParityEngine::onRequestFinished(MemoryRequest *req)
 {
+    if (req->owner != RequestOwner::Parity)
+        panic("ParityEngine: completion for a non-parity request");
     const std::uint32_t slot = req->job;
-    if (req->owner != RequestOwner::Parity || slot >= jobs_.size() ||
-        !jobs_[slot].live)
-        panic("ParityEngine::onRequestFinished: unknown job slot");
+    JobSlot &job = jobs_.expectLive(slot, "ParityEngine");
     const FlashOp op = req->op;
     const bool failed = req->faultFailed;
     backend_.release(req);
 
-    JobSlot &job = jobs_[slot];
     switch (job.kind) {
       case JobKind::Close:
         if (op == FlashOp::Read) {
@@ -339,7 +310,7 @@ ParityEngine::onRequestFinished(MemoryRequest *req)
                 if (job.failed) {
                     map_.clearParityWritten(job.stripe);
                     ++stats_.abandonedStripes;
-                    retireSlot(slot);
+                    jobs_.retire(slot);
                 } else {
                     job.parityIssued = true;
                     map_.markParityWritten(job.stripe);
@@ -356,7 +327,7 @@ ParityEngine::onRequestFinished(MemoryRequest *req)
                 map_.clearParityWritten(job.stripe);
                 ++stats_.abandonedStripes;
             }
-            retireSlot(slot);
+            jobs_.retire(slot);
         }
         break;
 
@@ -368,7 +339,7 @@ ParityEngine::onRequestFinished(MemoryRequest *req)
         if (--job.remainingReads == 0) {
             MemoryRequest *origin = job.origin;
             const bool ok = !job.failed;
-            retireSlot(slot);
+            jobs_.retire(slot);
             if (ok)
                 ++stats_.reconstructions;
             else
@@ -399,7 +370,7 @@ ParityEngine::onRequestFinished(MemoryRequest *req)
             } else {
                 ++stats_.rebuildPagesRebuilt;
             }
-            retireSlot(slot);
+            jobs_.retire(slot);
             scheduleRebuildStep();
         }
         break;

@@ -45,6 +45,7 @@
 #include "flash/mem_request.hh"
 #include "ftl/ftl.hh"
 #include "sim/event_queue.hh"
+#include "sim/slot_table.hh"
 #include "ssd/config.hh"
 
 namespace spk
@@ -130,7 +131,7 @@ class ParityEngine
     void onRequestFinished(MemoryRequest *req);
 
     /** True when no parity flash work is outstanding. */
-    bool idle() const { return liveJobs_ == 0 && !rebuildActive_; }
+    bool idle() const { return jobs_.liveCount() == 0 && !rebuildActive_; }
 
     const ParityEngineStats &stats() const { return stats_; }
 
@@ -142,7 +143,6 @@ class ParityEngine
     struct JobSlot
     {
         JobKind kind = JobKind::Close;
-        bool live = false;
         std::uint32_t remainingReads = 0;
         StripeId stripe = 0;
         bool parityIssued = false;      //!< Close: program in flight
@@ -157,9 +157,6 @@ class ParityEngine
         std::uint32_t accumulated = 0; //!< members XORed in RAM
         std::uint64_t token = 0;       //!< flush-deadline guard
     };
-
-    std::uint32_t acquireSlot();
-    void retireSlot(std::uint32_t slot);
 
     /** Close an open stripe: re-read pre-populated members the
      *  accumulator never saw, then program the parity page. */
@@ -195,9 +192,7 @@ class ParityEngine
     std::unordered_map<StripeId, OpenStripe> open_;
     std::uint64_t nextToken_ = 0;
 
-    std::vector<JobSlot> jobs_;            //!< flat recycled-slot table
-    std::vector<std::uint32_t> freeSlots_; //!< recycled slot ids
-    std::uint32_t liveJobs_ = 0;
+    SlotTable<JobSlot> jobs_;
     std::uint64_t nextReqId_ = 1ull << 61; //!< distinct id space
 
     bool deadActive_ = false;

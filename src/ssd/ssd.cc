@@ -15,32 +15,14 @@ Ssd::Ssd(const SsdConfig &cfg)
     cfg_.validate();
     const FlashGeometry &geo = cfg_.geometry;
 
-    chips_.reserve(geo.numChips());
-    for (std::uint32_t i = 0; i < geo.numChips(); ++i)
-        chips_.push_back(std::make_unique<FlashChip>(i, geo));
-
-    channels_.reserve(geo.numChannels);
-    controllers_.reserve(geo.numChannels);
-    for (std::uint32_t c = 0; c < geo.numChannels; ++c) {
-        channels_.push_back(std::make_unique<Channel>(c));
-        std::vector<FlashChip *> channel_chips;
-        channel_chips.reserve(geo.chipsPerChannel);
-        for (std::uint32_t off = 0; off < geo.chipsPerChannel; ++off)
-            channel_chips.push_back(
-                chips_[geo.chipIndex(c, off)].get());
-        controllers_.push_back(std::make_unique<FlashController>(
-            events_, *channels_[c], std::move(channel_chips),
-            cfg_.timing, geo.pageSizeBytes, cfg_.decisionWindow,
-            [this](MemoryRequest *req) { onRequestFinished(req); },
-            &faults_, &decoder_));
-        controllers_.back()->reserveSteadyState(cfg_.nvmhc.queueDepth);
-    }
-
     ftl_ = std::make_unique<Ftl>(geo, cfg_.ftl, &faults_,
                                  cfg_.parity.enabled);
 
-    backend_ = std::make_unique<FlashBackend>(geo, controllers_,
-                                              requestArena_);
+    backend_ = std::make_unique<FlashBackend>(
+        events_, geo, cfg_.timing, cfg_.decisionWindow, requestArena_,
+        [this](MemoryRequest *req) { onRequestFinished(req); }, &faults_,
+        &decoder_);
+    backend_->reserveSteadyState(cfg_.nvmhc.queueDepth);
 
     gc_ = std::make_unique<GcManager>(*backend_,
                                       cfg_.gcMaxLiveBatchesPerPlane);
@@ -455,7 +437,7 @@ Ssd::metrics() const
     std::array<std::uint64_t, 4> req_per_class{};
     std::uint64_t txns = 0;
     std::uint64_t reqs = 0;
-    for (const auto &chip : chips_) {
+    for (const auto &chip : backend_->chips()) {
         const auto &cs = chip->stats();
         busy_sum += cs.busyTime;
         cell_sum += cs.cellTime;
@@ -469,7 +451,7 @@ Ssd::metrics() const
     m.transactions = txns;
     m.requestsServed = reqs;
 
-    const auto n_chips = static_cast<double>(chips_.size());
+    const auto n_chips = static_cast<double>(backend_->chips().size());
     const double planes_per_chip =
         static_cast<double>(cfg_.geometry.diesPerChip *
                             cfg_.geometry.planesPerDie);
@@ -505,7 +487,7 @@ Ssd::metrics() const
     // Execution-time breakdown over chip-time capacity.
     Tick bus_held = 0;
     Tick contention = 0;
-    for (const auto &channel : channels_) {
+    for (const auto &channel : backend_->channels()) {
         bus_held += channel->stats().busHeldTime;
         contention += channel->stats().contentionTime;
     }
@@ -523,14 +505,11 @@ Ssd::metrics() const
     m.pagesMigrated = ftl_->stats().pagesMigrated;
 
     // Reliability counters (all zero when the fault model is inert).
-    for (const auto &ctrl : controllers_) {
-        const ControllerStats &fs = ctrl->stats();
-        m.readRetries += fs.readRetries;
-        for (std::size_t i = 0; i < m.readRetriesByStep.size(); ++i)
-            m.readRetriesByStep[i] += fs.readRetriesByStep[i];
-        m.uncorrectableReads += fs.uncorrectableReads;
-        m.programFailures += fs.programFailures;
-    }
+    const ControllerStats &fs = backend_->stats();
+    m.readRetries = fs.readRetries;
+    m.readRetriesByStep = fs.readRetriesByStep;
+    m.uncorrectableReads = fs.uncorrectableReads;
+    m.programFailures = fs.programFailures;
     const FtlStats &ft = ftl_->stats();
     m.programRemaps = ft.programRemaps;
     m.eraseFailures = ft.eraseFailures;

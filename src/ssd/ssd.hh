@@ -3,10 +3,11 @@
  * The assembled many-chip SSD device -- the library's main entry
  * point.
  *
- * Construction wires the full Figure 2 stack: event kernel, NAND
- * chips, channels, per-channel flash controllers, FTL, garbage
- * collection, and the NVMHC with the configured scheduler. Drive it
- * with submitAt()/replay() and run(); read results with metrics().
+ * Construction wires the full Figure 2 stack: event kernel, the
+ * device's flash controller (with its NAND chips and channels), FTL,
+ * garbage collection, and the NVMHC with the configured scheduler.
+ * Drive it with submitAt()/replay() and run(); read results with
+ * metrics().
  */
 
 #ifndef SPK_SSD_SSD_HH
@@ -19,7 +20,6 @@
 
 #include "controller/channel.hh"
 #include "controller/flash_backend.hh"
-#include "controller/flash_controller.hh"
 #include "controller/soft_decoder.hh"
 #include "flash/chip.hh"
 #include "flash/fault_model.hh"
@@ -126,11 +126,11 @@ class Ssd
     const FaultModel &faults() const { return faults_; }
     const std::vector<std::unique_ptr<FlashChip>> &chips() const
     {
-        return chips_;
+        return backend_->chips();
     }
     const std::vector<std::unique_ptr<Channel>> &channels() const
     {
-        return channels_;
+        return backend_->channels();
     }
 
   private:
@@ -169,11 +169,11 @@ class Ssd
     Rng rng_;
 
     /** Deterministic per-operation fault decider (inert by default);
-     *  declared before the controllers and FTL that hold pointers. */
+     *  declared before the controller and FTL that hold pointers. */
     FaultModel faults_;
 
     /** Device-shared (serialized) LDPC soft decoder; declared before
-     *  the controllers that hold a pointer to it. */
+     *  the controller that holds a pointer to it. */
     SoftDecoder decoder_;
 
     /**
@@ -183,10 +183,8 @@ class Ssd
      */
     Slab<MemoryRequest> requestArena_;
 
-    std::vector<std::unique_ptr<FlashChip>> chips_;
-    std::vector<std::unique_ptr<Channel>> channels_;
-    std::vector<std::unique_ptr<FlashController>> controllers_;
-    /** Chip routing, placement and commitment for every owner. */
+    /** The flash controller: placement, commitment and execution
+     *  for every owner. */
     std::unique_ptr<FlashBackend> backend_;
     std::unique_ptr<Ftl> ftl_;
     std::unique_ptr<GcManager> gc_;

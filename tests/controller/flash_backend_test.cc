@@ -1,11 +1,13 @@
 /**
  * @file
- * Unit tests for the flash back end: chip routing, placement and
- * background issue ahead of host work, on a multi-channel geometry.
+ * Unit tests for the flash back end: chip -> channel routing,
+ * placement and background issue ahead of host work, on a geometry
+ * with more channels than chips per channel.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -22,9 +24,6 @@ struct Fixture
 {
     FlashGeometry geo;
     EventQueue events;
-    std::vector<std::unique_ptr<FlashChip>> chips;
-    std::vector<std::unique_ptr<Channel>> channels;
-    FlashBackend::Controllers controllers;
     Slab<MemoryRequest> arena;
     std::unique_ptr<FlashBackend> backend;
     std::vector<MemoryRequest *> completed;
@@ -37,21 +36,9 @@ struct Fixture
         geo.planesPerDie = 2;
         geo.blocksPerPlane = 4;
         geo.pagesPerBlock = 4;
-        for (std::uint32_t i = 0; i < geo.numChips(); ++i)
-            chips.push_back(std::make_unique<FlashChip>(i, geo));
-        for (std::uint32_t c = 0; c < geo.numChannels; ++c) {
-            channels.push_back(std::make_unique<Channel>(c));
-            std::vector<FlashChip *> channel_chips;
-            for (std::uint32_t off = 0; off < geo.chipsPerChannel; ++off)
-                channel_chips.push_back(
-                    chips[geo.chipIndex(c, off)].get());
-            controllers.push_back(std::make_unique<FlashController>(
-                events, *channels[c], channel_chips, FlashTiming{},
-                geo.pageSizeBytes, 0,
-                [this](MemoryRequest *r) { completed.push_back(r); }));
-        }
-        backend =
-            std::make_unique<FlashBackend>(geo, controllers, arena);
+        backend = std::make_unique<FlashBackend>(
+            events, geo, FlashTiming{}, 0, arena,
+            [this](MemoryRequest *r) { completed.push_back(r); });
     }
 
     /** A composed host read of I/O @p tag placed on @p ppn. */
@@ -72,29 +59,38 @@ struct Fixture
     }
 };
 
-TEST(FlashBackend, EveryChipRoutesToItsChannelController)
+TEST(FlashBackend, ChipsShareOnlyTheirOwnChannelBus)
 {
+    // 3 channels x 2 chips per channel: chip k sits on channel k % 3,
+    // so chips 0 and 3 share channel 0 and chip 1 is alone on
+    // channel 1.
     Fixture f;
-    for (std::uint32_t chip = 0; chip < f.geo.numChips(); ++chip) {
-        MemoryRequest *req = f.hostRead(f.firstPageOf(chip), 0);
-        f.backend->commit(req);
-        EXPECT_EQ(f.backend->outstanding(chip), 1u);
-        const std::uint32_t channel = f.geo.channelOfChip(chip);
-        const std::uint32_t offset = f.geo.chipOffsetOfChip(chip);
-        for (std::uint32_t c = 0; c < f.geo.numChannels; ++c) {
-            for (std::uint32_t off = 0; off < f.geo.chipsPerChannel;
-                 ++off) {
-                const bool home = c == channel && off == offset;
-                EXPECT_EQ(f.controllers[c]->outstanding(off),
-                          home ? 1u : 0u)
-                    << "chip " << chip << " seen on channel " << c
-                    << " offset " << off;
-            }
-        }
-        f.events.run();
-        ASSERT_EQ(f.completed.back(), req);
-        EXPECT_EQ(f.backend->outstanding(chip), 0u);
+    ASSERT_NE(f.geo.numChannels, f.geo.chipsPerChannel);
+    MemoryRequest *reqs[3];
+    const std::uint32_t on_chip[3] = {0, 3, 1};
+    for (int i = 0; i < 3; ++i) {
+        reqs[i] = f.backend->acquire();
+        reqs[i]->op = FlashOp::Program;
+        reqs[i]->composed = true;
+        f.backend->place(*reqs[i], f.firstPageOf(on_chip[i]));
+        f.backend->commit(reqs[i]);
     }
+    f.events.run();
+    ASSERT_EQ(f.completed.size(), 3u);
+
+    // Chips 0 and 3: one bus, so the data-in phases serialize.
+    const Tick xfer = FlashTiming{}.transferTime(f.geo.pageSizeBytes);
+    const Tick first = std::min(reqs[0]->startedAt, reqs[1]->startedAt);
+    const Tick second = std::max(reqs[0]->startedAt, reqs[1]->startedAt);
+    EXPECT_GE(second, first + xfer);
+    // Chips 0 and 1: different buses, so they overlap.
+    EXPECT_EQ(reqs[2]->startedAt, reqs[0]->startedAt);
+    EXPECT_LT(reqs[2]->startedAt, reqs[1]->startedAt);
+
+    const auto &channels = f.backend->channels();
+    EXPECT_EQ(channels[0]->stats().grants, 2u);
+    EXPECT_EQ(channels[1]->stats().grants, 1u);
+    EXPECT_EQ(channels[2]->stats().grants, 0u);
 }
 
 TEST(FlashBackend, PlaceAgreesWithGeometryForEveryPage)
@@ -105,9 +101,8 @@ TEST(FlashBackend, PlaceAgreesWithGeometryForEveryPage)
         f.backend->place(req, ppn);
         const PhysAddr want = f.geo.decompose(ppn);
         EXPECT_EQ(req.ppn, ppn);
-        EXPECT_EQ(req.chip, f.geo.chipOf(ppn));
-        EXPECT_EQ(req.addr.channel, want.channel);
-        EXPECT_EQ(req.addr.chipInChannel, want.chipInChannel);
+        EXPECT_EQ(req.addr.chip, f.geo.chipOf(ppn));
+        EXPECT_EQ(req.addr.chip, want.chip);
         EXPECT_EQ(req.addr.die, want.die);
         EXPECT_EQ(req.addr.plane, want.plane);
         EXPECT_EQ(req.addr.block, want.block);
@@ -156,7 +151,7 @@ TEST(FlashBackend, BackgroundIssueRunsAheadOfQueuedHostWork)
     EXPECT_EQ(gc->id, 1ull << 60);
     EXPECT_EQ(gc->job, 7u);
     EXPECT_EQ(gc->tag, kInvalidTag);
-    EXPECT_EQ(gc->chip, chip);
+    EXPECT_EQ(gc->addr.chip, chip);
     EXPECT_TRUE(gc->composed);
     EXPECT_EQ(f.backend->outstanding(chip), 3u);
     EXPECT_EQ(f.backend->ownerOf(chip), ChipOwner{ChipOwner::Other});
@@ -166,15 +161,6 @@ TEST(FlashBackend, BackgroundIssueRunsAheadOfQueuedHostWork)
     for (MemoryRequest *req : f.completed)
         f.backend->release(req);
     EXPECT_EQ(f.arena.liveCount(), 0u);
-}
-
-TEST(FlashBackendDeathTest, ControllerCountMustMatchChannels)
-{
-    Fixture f;
-    f.controllers.pop_back();
-    EXPECT_DEATH(
-        { FlashBackend backend(f.geo, f.controllers, f.arena); },
-        "one flash controller per channel");
 }
 
 } // namespace

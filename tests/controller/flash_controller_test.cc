@@ -9,7 +9,7 @@
 #include <memory>
 #include <vector>
 
-#include "controller/flash_controller.hh"
+#include "controller/flash_backend.hh"
 #include "controller/soft_decoder.hh"
 #include "flash/chip.hh"
 #include "flash/fault_model.hh"
@@ -24,10 +24,9 @@ struct Fixture
 {
     FlashGeometry geo;
     EventQueue events;
-    Channel channel{0};
-    std::vector<std::unique_ptr<FlashChip>> chips;
     std::vector<MemoryRequest *> completed;
-    std::unique_ptr<FlashController> ctrl;
+    Slab<MemoryRequest> arena;
+    std::unique_ptr<FlashBackend> ctrl;
     std::vector<std::unique_ptr<MemoryRequest>> pool;
 
     explicit Fixture(Tick window = 1000,
@@ -38,32 +37,31 @@ struct Fixture
         geo.chipsPerChannel = 2;
         geo.diesPerChip = 2;
         geo.planesPerDie = 2;
-        std::vector<FlashChip *> raw;
-        for (std::uint32_t i = 0; i < geo.chipsPerChannel; ++i) {
-            chips.push_back(std::make_unique<FlashChip>(i, geo));
-            raw.push_back(chips.back().get());
-        }
-        ctrl = std::make_unique<FlashController>(
-            events, channel, raw, FlashTiming{}, geo.pageSizeBytes,
-            window,
+        ctrl = std::make_unique<FlashBackend>(
+            events, geo, FlashTiming{}, window, arena,
             [this](MemoryRequest *r) { completed.push_back(r); },
             faults, decoder);
     }
 
+    const FlashChip &chip(std::uint32_t i) const
+    {
+        return *ctrl->chips()[i];
+    }
+
+    const Channel &channel() const { return *ctrl->channels()[0]; }
+
     MemoryRequest *
-    make(FlashOp op, std::uint32_t chip_off, std::uint32_t die,
+    make(FlashOp op, std::uint32_t chip, std::uint32_t die,
          std::uint32_t plane, std::uint32_t page, std::uint32_t block = 0)
     {
         auto req = std::make_unique<MemoryRequest>();
         req->id = pool.size();
         req->op = op;
-        req->addr.channel = 0;
-        req->addr.chipInChannel = chip_off;
+        req->addr.chip = chip;
         req->addr.die = die;
         req->addr.plane = plane;
         req->addr.block = block;
         req->addr.page = page;
-        req->chip = geo.chipIndex(0, chip_off);
         req->translated = true;
         req->composed = true;
         pool.push_back(std::move(req));
@@ -96,7 +94,7 @@ TEST(FlashController, CoalescesWithinDecisionWindow)
     f.events.run();
     EXPECT_EQ(f.completed.size(), 4u);
     EXPECT_EQ(f.ctrl->stats().transactions, 1u);
-    EXPECT_EQ(f.chips[0]->stats().txnPerClass[3], 1u); // PAL3
+    EXPECT_EQ(f.chip(0).stats().txnPerClass[3], 1u); // PAL3
 }
 
 TEST(FlashController, IncompatiblePagesSplitTransactions)
@@ -127,7 +125,7 @@ TEST(FlashController, RbExclusivityPerChip)
     // While chip 0 is busy, committing more work must not start it.
     auto *b = f.make(FlashOp::Read, 0, 1, 0, 2);
     f.ctrl->commit(b);
-    EXPECT_TRUE(f.chips[0]->busy());
+    EXPECT_TRUE(f.chip(0).busy());
     f.events.run();
     EXPECT_EQ(f.completed.size(), 2u);
     // Second transaction started only after the first finished.
@@ -159,7 +157,7 @@ TEST(FlashController, ChannelSerializesBusPhases)
     // Both programs moved a page over the same bus: held time covers
     // two transfers and there was some contention or offset.
     const Tick xfer = FlashTiming{}.transferTime(f.geo.pageSizeBytes);
-    EXPECT_GE(f.channel.stats().busHeldTime, 2 * xfer);
+    EXPECT_GE(f.channel().stats().busHeldTime, 2 * xfer);
     EXPECT_NE(a->startedAt, b->startedAt);
 }
 

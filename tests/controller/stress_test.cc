@@ -12,7 +12,7 @@
 #include <memory>
 #include <vector>
 
-#include "controller/flash_controller.hh"
+#include "controller/flash_backend.hh"
 #include "flash/chip.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
@@ -46,20 +46,13 @@ TEST_P(ControllerStress, InvariantsHold)
     geo.planesPerDie = 4;
 
     EventQueue events;
-    Channel channel(0);
-    std::vector<std::unique_ptr<FlashChip>> chips;
-    std::vector<FlashChip *> raw;
-    for (std::uint32_t i = 0; i < sc.chipsPerChannel; ++i) {
-        chips.push_back(std::make_unique<FlashChip>(i, geo));
-        raw.push_back(chips.back().get());
-    }
 
     // Brute-force owner model: outstanding requests per (chip, tag
     // slot), kept from the commits and completions.
     constexpr std::size_t kSlots = 9; // slot 0 + tags 0..7
     std::vector<std::uint32_t> live(sc.chipsPerChannel * kSlots);
     const auto liveOf = [&](const MemoryRequest *req) -> std::uint32_t & {
-        return live[req->addr.chipInChannel * kSlots + tagSlot(req->tag)];
+        return live[req->addr.chip * kSlots + tagSlot(req->tag)];
     };
     const auto expectedOwner = [&](std::uint32_t c) {
         std::uint32_t held = 0;
@@ -79,9 +72,10 @@ TEST_P(ControllerStress, InvariantsHold)
     };
 
     std::map<const MemoryRequest *, int> completions;
-    FlashController ctrl(
-        events, channel, raw, FlashTiming{}, geo.pageSizeBytes,
-        sc.decisionWindow, [&](MemoryRequest *req) {
+    Slab<MemoryRequest> arena;
+    FlashBackend ctrl(
+        events, geo, FlashTiming{}, sc.decisionWindow, arena,
+        [&](MemoryRequest *req) {
             completions[req]++;
             liveOf(req)--;
         });
@@ -93,8 +87,7 @@ TEST_P(ControllerStress, InvariantsHold)
         req->id = i;
         req->op = rng.nextBool(sc.writeFraction) ? FlashOp::Program
                                                  : FlashOp::Read;
-        req->addr.channel = 0;
-        req->addr.chipInChannel =
+        req->addr.chip =
             static_cast<std::uint32_t>(rng.nextBelow(sc.chipsPerChannel));
         req->addr.die =
             static_cast<std::uint32_t>(rng.nextBelow(geo.diesPerChip));
@@ -102,7 +95,6 @@ TEST_P(ControllerStress, InvariantsHold)
             static_cast<std::uint32_t>(rng.nextBelow(geo.planesPerDie));
         req->addr.block = static_cast<std::uint32_t>(rng.nextBelow(16));
         req->addr.page = static_cast<std::uint32_t>(rng.nextBelow(8));
-        req->chip = geo.chipIndex(0, req->addr.chipInChannel);
         req->tag = static_cast<TagId>(rng.nextBelow(8));
         req->translated = true;
         req->composed = true;
@@ -152,7 +144,7 @@ TEST_P(ControllerStress, InvariantsHold)
     //    overlap under die interleaving -- so busy wall-time bounds
     //    it only after dividing by the die count. FLP class counters
     //    sum to the transaction count.
-    for (const auto &chip : chips) {
+    for (const auto &chip : ctrl.chips()) {
         const auto &cs = chip->stats();
         EXPECT_GE(cs.busyTime, cs.cellTime / geo.diesPerChip);
         EXPECT_LE(cs.cellTime,
@@ -168,6 +160,7 @@ TEST_P(ControllerStress, InvariantsHold)
     }
 
     // 6. Channel accounting is self-consistent.
+    const Channel &channel = *ctrl.channels()[0];
     EXPECT_GT(channel.stats().busHeldTime, 0u);
     EXPECT_LE(channel.stats().busHeldTime, events.now());
 }

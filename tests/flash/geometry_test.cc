@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "flash/geometry.hh"
 #include "sim/rng.hh"
 
@@ -39,18 +41,18 @@ TEST(Geometry, Counts)
     EXPECT_EQ(g.totalBlocks(), 8u * 2 * 4 * 8);
 }
 
-TEST(Geometry, ChipIndexStripesAcrossChannels)
+TEST(Geometry, ChannelOfChipStripesAcrossChannels)
 {
     const auto g = smallGeo();
-    // Chip indices 0..numChannels-1 must be offset 0 on each channel:
-    // this IS the RIOS traversal order.
-    for (std::uint32_t c = 0; c < g.numChannels; ++c) {
-        EXPECT_EQ(g.chipIndex(c, 0), c);
-        EXPECT_EQ(g.channelOfChip(c), c);
-        EXPECT_EQ(g.chipOffsetOfChip(c), 0u);
+    // Chips 0..numChannels-1 sit on distinct channels and the next chip
+    // wraps to channel 0: this IS the RIOS traversal order.
+    std::vector<std::uint32_t> per_channel(g.numChannels, 0);
+    for (std::uint32_t chip = 0; chip < g.numChips(); ++chip) {
+        EXPECT_EQ(g.channelOfChip(chip), chip % g.numChannels);
+        ++per_channel[g.channelOfChip(chip)];
     }
-    EXPECT_EQ(g.chipIndex(0, 1), g.numChannels);
-    EXPECT_EQ(g.chipOffsetOfChip(g.numChannels), 1u);
+    for (const std::uint32_t n : per_channel)
+        EXPECT_EQ(n, g.chipsPerChannel);
 }
 
 TEST(Geometry, ComposeDecomposeRoundTrip)
@@ -61,8 +63,7 @@ TEST(Geometry, ComposeDecomposeRoundTrip)
         const Ppn ppn = rng.nextBelow(g.totalPages());
         const PhysAddr addr = g.decompose(ppn);
         EXPECT_EQ(g.compose(addr), ppn);
-        EXPECT_LT(addr.channel, g.numChannels);
-        EXPECT_LT(addr.chipInChannel, g.chipsPerChannel);
+        EXPECT_LT(addr.chip, g.numChips());
         EXPECT_LT(addr.die, g.diesPerChip);
         EXPECT_LT(addr.plane, g.planesPerDie);
         EXPECT_LT(addr.block, g.blocksPerPlane);
@@ -86,9 +87,7 @@ TEST(Geometry, ChipOfMatchesDecompose)
     Rng rng(7);
     for (int i = 0; i < 500; ++i) {
         const Ppn ppn = rng.nextBelow(g.totalPages());
-        const PhysAddr addr = g.decompose(ppn);
-        EXPECT_EQ(g.chipOf(ppn),
-                  g.chipIndex(addr.channel, addr.chipInChannel));
+        EXPECT_EQ(g.decompose(ppn).chip, g.chipOf(ppn));
     }
 }
 
@@ -129,6 +128,7 @@ TEST_P(GeometrySweep, RoundTripAndBounds)
     for (int i = 0; i < 300; ++i) {
         const Ppn ppn = rng.nextBelow(g.totalPages());
         EXPECT_EQ(g.compose(g.decompose(ppn)), ppn);
+        EXPECT_EQ(g.decompose(ppn).chip, g.chipOf(ppn));
         EXPECT_LT(g.chipOf(ppn), g.numChips());
     }
 }

@@ -36,7 +36,7 @@ class PlanSweep : public ::testing::TestWithParam<PlanCase>
             for (std::uint32_t p = 0; p < pc.planesPerDie; ++p) {
                 auto req = std::make_unique<MemoryRequest>();
                 req->op = pc.op;
-                req->chip = 0;
+                req->addr.chip = 0;
                 req->addr.die = d;
                 req->addr.plane = p;
                 req->addr.block = p;

@@ -19,7 +19,7 @@ makeReq(std::uint32_t die, std::uint32_t plane, std::uint32_t page,
 {
     MemoryRequest req;
     req.op = op;
-    req.chip = chip;
+    req.addr.chip = chip;
     req.addr.die = die;
     req.addr.plane = plane;
     req.addr.page = page;

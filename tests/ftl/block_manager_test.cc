@@ -52,7 +52,7 @@ TEST(BlockManager, PlaneIndexStripesChipsFirst)
     std::set<std::uint32_t> chips;
     for (std::uint32_t p = 0; p < g.numChips(); ++p) {
         const PhysAddr a = bm.planeAddr(p);
-        chips.insert(g.chipIndex(a.channel, a.chipInChannel));
+        chips.insert(a.chip);
     }
     EXPECT_EQ(chips.size(), g.numChips());
 }

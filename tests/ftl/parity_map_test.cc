@@ -44,7 +44,7 @@ class ReferenceModel
     explicit ReferenceModel(const FlashGeometry &geo) : geo_(geo) {}
 
     // ppn = (((chip*D + die)*P + plane)*B + block)*K + page, with
-    // chip = chipInChannel*numChannels + channel folded into 'chip'.
+    // 'chip' the global chip index.
     Ppn
     ppnOf(std::uint32_t chip, std::uint32_t die, std::uint32_t plane,
           std::uint32_t block, std::uint32_t page) const

@@ -46,7 +46,7 @@ TEST(ChipPendingIndex, ListsMatchBruteForceScan)
             if (kind <= 1 || listed.empty()) { // push a new request
                 auto req = std::make_unique<MemoryRequest>();
                 req->id = reqs.size();
-                req->chip = static_cast<std::uint32_t>(below(kChips));
+                req->addr.chip = static_cast<std::uint32_t>(below(kChips));
                 req->tag = static_cast<TagId>(below(kTags));
                 index.pushBack(req.get());
                 listed.push_back(req.get());
@@ -57,7 +57,7 @@ TEST(ChipPendingIndex, ListsMatchBruteForceScan)
                 index.unlink(req);
                 listed.erase(listed.begin() + static_cast<long>(at));
                 if (kind == 3) { // retarget: to the back of a new chip
-                    req->chip = static_cast<std::uint32_t>(below(kChips));
+                    req->addr.chip = static_cast<std::uint32_t>(below(kChips));
                     index.pushBack(req);
                     listed.push_back(req);
                 }
@@ -66,7 +66,7 @@ TEST(ChipPendingIndex, ListsMatchBruteForceScan)
             for (std::uint32_t chip = 0; chip < kChips; ++chip) {
                 std::vector<const MemoryRequest *> want;
                 for (const MemoryRequest *req : listed) {
-                    if (req->chip == chip)
+                    if (req->addr.chip == chip)
                         want.push_back(req);
                 }
                 ASSERT_EQ(walk(index.front(chip), &MemoryRequest::chipNext),

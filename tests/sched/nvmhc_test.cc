@@ -1,7 +1,7 @@
 /**
  * @file
  * Integration-style unit tests for the NVMHC against a small real
- * device built from chips/channels/controllers/FTL.
+ * device built from chips/channels/controller/FTL.
  */
 
 #include <gtest/gtest.h>

@@ -41,7 +41,7 @@ queueWalkPas(const SchedulerContext &ctx,
                 continue;
             if (!ctx.view->schedulable(*req))
                 continue;
-            if (others(req->chip, req->tag) > 0)
+            if (others(req->addr.chip, req->tag) > 0)
                 continue;
             return req;
         }

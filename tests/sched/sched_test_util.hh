@@ -114,9 +114,7 @@ struct SchedHarness
             req->lpn = nextReqId; // unique => no hazards
             const std::uint32_t chip = chips[i];
             const std::uint32_t slot = per_chip[chip]++;
-            req->chip = chip;
-            req->addr.channel = geo.channelOfChip(chip);
-            req->addr.chipInChannel = geo.chipOffsetOfChip(chip);
+            req->addr.chip = chip;
             req->addr.die = slot / geo.planesPerDie;
             req->addr.plane = slot % geo.planesPerDie;
             req->addr.block = i;
@@ -148,9 +146,7 @@ struct SchedHarness
     retarget(MemoryRequest *req, std::uint32_t chip)
     {
         pending.unlink(req);
-        req->chip = chip;
-        req->addr.channel = geo.channelOfChip(chip);
-        req->addr.chipInChannel = geo.chipOffsetOfChip(chip);
+        req->addr.chip = chip;
         pending.pushBack(req);
     }
 };

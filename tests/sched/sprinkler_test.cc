@@ -41,15 +41,15 @@ TEST(Sprinkler, RiosTraversesChipsInStripeOrder)
     // RIOS visits chip 0 first regardless of request order in the I/O.
     MemoryRequest *r = spk2.next(h.ctx);
     ASSERT_NE(r, nullptr);
-    EXPECT_EQ(r->chip, 0u);
+    EXPECT_EQ(r->addr.chip, 0u);
     h.compose(r);
     r = spk2.next(h.ctx);
     ASSERT_NE(r, nullptr);
-    EXPECT_EQ(r->chip, 1u);
+    EXPECT_EQ(r->addr.chip, 1u);
     h.compose(r);
     r = spk2.next(h.ctx);
     ASSERT_NE(r, nullptr);
-    EXPECT_EQ(r->chip, 2u);
+    EXPECT_EQ(r->addr.chip, 2u);
 }
 
 TEST(Sprinkler, RiosCommitsAcrossIoBoundaries)
@@ -100,7 +100,7 @@ TEST(Sprinkler, FaroBatchesCoalescableSet)
     for (int i = 0; i < 4; ++i) {
         MemoryRequest *r = spk3.next(h.ctx);
         ASSERT_NE(r, nullptr);
-        EXPECT_EQ(r->chip, 0u);
+        EXPECT_EQ(r->addr.chip, 0u);
         batch.insert(r);
         h.compose(r);
     }
@@ -116,7 +116,7 @@ TEST(Sprinkler, FaroPrefersDeeperOverlap)
     // SPK1 picks the chip with the highest overlap depth first.
     MemoryRequest *r = spk1.next(h.ctx);
     ASSERT_NE(r, nullptr);
-    EXPECT_EQ(r->chip, 2u);
+    EXPECT_EQ(r->addr.chip, 2u);
     EXPECT_EQ(r->tag, big->tag);
     (void)small;
 }
@@ -133,7 +133,7 @@ TEST(Sprinkler, ConnectivityBreaksDepthTies)
 
     MemoryRequest *r = spk1.next(h.ctx);
     ASSERT_NE(r, nullptr);
-    EXPECT_EQ(r->chip, 2u) << "higher connectivity set should win";
+    EXPECT_EQ(r->addr.chip, 2u) << "higher connectivity set should win";
     EXPECT_EQ(r->tag, c->tag);
 }
 
@@ -153,7 +153,7 @@ TEST(Sprinkler, RetargetMovesBucket)
     r = spk2.next(h.ctx);
     ASSERT_NE(r, nullptr);
     EXPECT_EQ(r, io->pages[0]);
-    EXPECT_EQ(r->chip, 3u);
+    EXPECT_EQ(r->addr.chip, 3u);
 }
 
 TEST(Sprinkler, SkipsComposedEntries)

@@ -176,31 +176,18 @@ TEST(SlabGcCrossCheck, RandomBatchStormMatchesMapModel)
 
     EventQueue events;
     Slab<MemoryRequest> arena;
-    std::vector<std::unique_ptr<FlashChip>> chips;
-    std::vector<std::unique_ptr<Channel>> channels;
-    std::vector<std::unique_ptr<FlashController>> controllers;
     std::unique_ptr<FlashBackend> backend;
     std::unique_ptr<GcManager> gc;
 
     MapModel model;
     std::uint64_t completions = 0;
 
-    for (std::uint32_t i = 0; i < geo.numChips(); ++i)
-        chips.push_back(std::make_unique<FlashChip>(i, geo));
-    for (std::uint32_t c = 0; c < geo.numChannels; ++c) {
-        channels.push_back(std::make_unique<Channel>(c));
-        std::vector<FlashChip *> channel_chips;
-        for (std::uint32_t off = 0; off < geo.chipsPerChannel; ++off)
-            channel_chips.push_back(chips[geo.chipIndex(c, off)].get());
-        controllers.push_back(std::make_unique<FlashController>(
-            events, *channels[c], channel_chips, FlashTiming{},
-            geo.pageSizeBytes, 0, [&](MemoryRequest *req) {
-                ++completions;
-                model.observe(req->op, req->job);
-                gc->onRequestFinished(req);
-            }));
-    }
-    backend = std::make_unique<FlashBackend>(geo, controllers, arena);
+    backend = std::make_unique<FlashBackend>(
+        events, geo, FlashTiming{}, 0, arena, [&](MemoryRequest *req) {
+            ++completions;
+            model.observe(req->op, req->job);
+            gc->onRequestFinished(req);
+        });
     gc = std::make_unique<GcManager>(*backend);
 
     Rng rng(99);
@@ -218,10 +205,8 @@ TEST(SlabGcCrossCheck, RandomBatchStormMatchesMapModel)
         for (const std::uint64_t migs : counts) {
             GcBatch &batch = batches.append();
             PhysAddr base{};
-            base.channel = static_cast<std::uint32_t>(
-                rng.nextBelow(geo.numChannels));
-            base.chipInChannel = static_cast<std::uint32_t>(
-                rng.nextBelow(geo.chipsPerChannel));
+            base.chip =
+                static_cast<std::uint32_t>(rng.nextBelow(geo.numChips()));
             base.block = static_cast<std::uint32_t>(
                 rng.nextBelow(geo.blocksPerPlane / 2));
             batch.victimBasePpn = geo.compose(base);

@@ -1,7 +1,7 @@
 /**
  * @file
  * Direct unit tests for the GC execution engine: per-batch
- * read -> program -> erase sequencing against real controllers.
+ * read -> program -> erase sequencing against the real controller.
  */
 
 #include <gtest/gtest.h>
@@ -22,9 +22,6 @@ struct Fixture
 {
     FlashGeometry geo;
     EventQueue events;
-    std::vector<std::unique_ptr<Channel>> channels;
-    std::vector<std::unique_ptr<FlashChip>> chips;
-    std::vector<std::unique_ptr<FlashController>> controllers;
     Slab<MemoryRequest> arena;
     std::unique_ptr<FlashBackend> backend;
     std::unique_ptr<GcManager> gc;
@@ -42,21 +39,12 @@ struct Fixture
         geo.blocksPerPlane = 8;
         geo.pagesPerBlock = 4;
 
-        for (std::uint32_t i = 0; i < geo.numChips(); ++i)
-            chips.push_back(std::make_unique<FlashChip>(i, geo));
-        for (std::uint32_t c = 0; c < geo.numChannels; ++c) {
-            channels.push_back(std::make_unique<Channel>(c));
-            std::vector<FlashChip *> channel_chips{
-                chips[geo.chipIndex(c, 0)].get()};
-            controllers.push_back(std::make_unique<FlashController>(
-                events, *channels[c], channel_chips, FlashTiming{},
-                geo.pageSizeBytes, 0, [this](MemoryRequest *req) {
-                    completedOps.push_back(req->op);
-                    gc->onRequestFinished(req);
-                }));
-        }
-        backend =
-            std::make_unique<FlashBackend>(geo, controllers, arena);
+        backend = std::make_unique<FlashBackend>(
+            events, geo, FlashTiming{}, 0, arena,
+            [this](MemoryRequest *req) {
+                completedOps.push_back(req->op);
+                gc->onRequestFinished(req);
+            });
         gc = std::make_unique<GcManager>(*backend, cap);
         gc->setBatchRetiredHook([this] { ++retiredCalls; });
     }
@@ -134,15 +122,15 @@ TEST(GcManager, MultipleBatchesRunConcurrently)
     GcBatch &other = f.makeBatch(batches, 2);
     for (auto &mig : other.migrations) {
         PhysAddr a = f.geo.decompose(mig.from);
-        a.channel = 1;
+        a.chip = 1;
         mig.from = f.geo.compose(a);
         PhysAddr b = f.geo.decompose(mig.to);
-        b.channel = 1;
+        b.chip = 1;
         mig.to = f.geo.compose(b);
     }
     {
         PhysAddr v = f.geo.decompose(other.victimBasePpn);
-        v.channel = 1;
+        v.chip = 1;
         other.victimBasePpn = f.geo.compose(v);
     }
     f.gc->launch(batches);
@@ -158,6 +146,21 @@ TEST(GcManager, UnknownCompletionDies)
     Fixture f;
     MemoryRequest bogus;
     EXPECT_DEATH(f.gc->onRequestFinished(&bogus), "unknown");
+}
+
+TEST(GcManager, CompletionForRetiredBatchDies)
+{
+    Fixture f;
+    GcBatchList batches;
+    f.makeBatch(batches, 1);
+    f.gc->launch(batches);
+    f.events.run();
+    ASSERT_TRUE(f.gc->idle());
+    // A GC request naming the batch slot that just retired.
+    MemoryRequest stale;
+    stale.owner = RequestOwner::Gc;
+    stale.job = 0;
+    EXPECT_DEATH(f.gc->onRequestFinished(&stale), "unknown or dead slot");
 }
 
 TEST(GcManager, RetirementHookFiresPerBatch)
