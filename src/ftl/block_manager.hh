@@ -151,12 +151,6 @@ class BlockManager
     /** Planes taken offline by die failure. */
     std::uint64_t deadPlanes() const { return deadPlanes_; }
 
-    /**
-     * Victim with the fewest valid pages among Full blocks of a plane
-     * (greedy GC policy). Excludes the active block.
-     */
-    std::optional<std::uint32_t> pickGcVictim(std::uint64_t plane_idx) const;
-
     /** Total pages a plane can still accept before needing GC. */
     std::uint64_t freePages(std::uint64_t plane_idx) const;
 

@@ -71,19 +71,76 @@ Ftl::allocateRotating(bool gc_reserve)
     return std::nullopt;
 }
 
-Ppn
-Ftl::allocateWrite(Lpn lpn)
+std::optional<Ppn>
+Ftl::allocateWithReclaim(bool gc_reserve)
 {
-    const auto ppn = allocateRotating(/*gc_reserve=*/false);
+    auto ppn = allocateRotating(gc_reserve);
+    for (int round = 0; round < 256 && !ppn; ++round) {
+        // Emergency reclaim: urgent GC, launched through the GC
+        // engine so its flash time is still charged.
+        const GcBatchList &batches = collectGcUrgent();
+        if (batches.empty())
+            break;
+        if (launchBatches_)
+            launchBatches_(batches);
+        ppn = allocateRotating(gc_reserve);
+    }
+    return ppn;
+}
+
+Ppn
+Ftl::bindHostWrite(Lpn lpn, std::optional<Ppn> ppn)
+{
     if (!ppn)
         return kInvalidPage;
-
     const Ppn old = mapping_.bind(lpn, *ppn);
     if (old != kInvalidPage)
         noteInvalidated(old);
     noteValidated(*ppn);
     ++stats_.hostWrites;
     return *ppn;
+}
+
+Ppn
+Ftl::allocateWrite(Lpn lpn)
+{
+    return bindHostWrite(lpn, allocateRotating(/*gc_reserve=*/false));
+}
+
+Ppn
+Ftl::hostWrite(Lpn lpn)
+{
+    return bindHostWrite(lpn, allocateWithReclaim(/*gc_reserve=*/false));
+}
+
+Ppn
+Ftl::hostRead(Lpn lpn)
+{
+    const Ppn mapped = mapping_.lookup(lpn);
+    if (mapped != kInvalidPage)
+        return mapped;
+    // Reading a never-written page: backfill a mapping, as if the
+    // data existed before the trace started.
+    const Ppn ppn = hostWrite(lpn);
+    if (ppn != kInvalidPage && parityMap_) {
+        // The fiction extends to parity: data that "already existed"
+        // was already protected, untimed like a precondition
+        // (otherwise a later die failure would leave backfilled
+        // pages unreconstructable).
+        parityMap_->markDataWritten(ppn);
+        parityMap_->markParityWritten(parityMap_->stripeOf(ppn));
+    }
+    return ppn;
+}
+
+void
+Ftl::movePage(Lpn lpn, Ppn from, Ppn to)
+{
+    mapping_.bind(lpn, to); // invalidates `from` in the mapping
+    noteInvalidated(from);
+    noteValidated(to);
+    if (readdress_)
+        readdress_(lpn, from, to);
 }
 
 bool
@@ -100,20 +157,18 @@ Ftl::gcNeeded() const
 }
 
 bool
-Ftl::migrateAndErase(std::uint64_t plane, std::uint32_t block,
-                     GcBatch &batch)
+Ftl::evacuateBlock(std::uint64_t plane, std::uint32_t block,
+                   GcBatch &batch)
 {
     batch.planeIdx = plane;
     batch.victimBlock = block;
 
-    PhysAddr base = blocks_.planeAddr(plane);
-    base.block = block;
-    base.page = 0;
-    batch.victimBasePpn = geo_.compose(base);
+    PhysAddr addr = blocks_.planeAddr(plane);
+    addr.block = block;
+    addr.page = 0;
+    batch.victimBasePpn = geo_.compose(addr);
 
-    // Migrate every live page out of the victim.
     for (std::uint32_t page = 0; page < geo_.pagesPerBlock; ++page) {
-        PhysAddr addr = base;
         addr.page = page;
         const Ppn from = geo_.compose(addr);
         if (!mapping_.isValid(from))
@@ -122,23 +177,31 @@ Ftl::migrateAndErase(std::uint64_t plane, std::uint32_t block,
 
         const auto to = allocateRotating(/*gc_reserve=*/true);
         if (!to) {
-            warn("Ftl::collectGc: no space to migrate; aborting GC");
-            break;
+            warn("Ftl: no space to evacuate a block; its remaining "
+                 "live pages stay in place");
+            return false;
         }
-        // bind() invalidates `from` internally.
-        mapping_.bind(lpn, *to);
-        noteInvalidated(from);
-        noteValidated(*to);
-
         batch.migrations.push_back(GcMigration{lpn, from, *to});
         ++stats_.pagesMigrated;
-        if (readdress_)
-            readdress_(lpn, from, *to);
+        movePage(lpn, from, *to);
     }
+    return true;
+}
 
-    // The victim holds no live data unless migration aborted.
-    if (blocks_.block(plane, block).validPages != 0)
+bool
+Ftl::migrateAndErase(std::uint64_t plane, std::uint32_t block)
+{
+    GcBatch &batch = batchScratch_.append();
+    if (!evacuateBlock(plane, block, batch)) {
+        // Out of space mid-victim. The moves already made are real
+        // (mappings rebound, scheduler readdressed), so the batch
+        // still charges them; the victim keeps its other live pages
+        // and is not erased.
+        batch.eraseAfter = false;
+        if (batch.migrations.empty())
+            batchScratch_.dropLast();
         return false;
+    }
     if (faults_ &&
         faults_->eraseFails(batch.victimBasePpn,
                             blocks_.block(plane, block).eraseCount + 1)) {
@@ -169,42 +232,16 @@ Ftl::parityForgetBlock(std::uint64_t plane, std::uint32_t block)
 }
 
 const GcBatchList &
-Ftl::collectGcImpl(bool respect_admission)
-{
-    if (parityMap_)
-        return collectGcGroups(respect_admission);
-    batchScratch_.reset();
-    const std::uint64_t n_planes = blocks_.numPlanes();
-
-    for (std::uint64_t plane = 0; plane < n_planes; ++plane) {
-        if (blocks_.planeDead(plane))
-            continue;
-        if (blocks_.freeBlocks(plane) >= cfg_.gcFreeBlockThreshold)
-            continue;
-        if (respect_admission && gcAdmit_ && !gcAdmit_(plane)) {
-            // Live-batch bound reached: defer this plane's collection
-            // until a batch retires (the device retries then).
-            ++stats_.gcDeferrals;
-            continue;
-        }
-        const auto victim = blocks_.pickGcVictim(plane);
-        if (!victim)
-            continue;
-        GcBatch &batch = batchScratch_.append();
-        if (migrateAndErase(plane, *victim, batch))
-            ++stats_.gcInvocations;
-        else
-            batchScratch_.dropLast();
-    }
-    return batchScratch_;
-}
-
-const GcBatchList &
 Ftl::collectGcGroups(bool respect_admission)
 {
     batchScratch_.reset();
     const std::uint64_t n_planes = blocks_.numPlanes();
-    const std::uint32_t dies = geo_.diesPerChip;
+    // With die parity a stripe spans the sibling planes (same chip
+    // and plane-in-die) of every die, and collecting whole block
+    // groups keeps stripes consistent: every stripe of the group
+    // empties atomically, so none is left with a stale parity member.
+    // Without parity a group is the plane alone.
+    const std::uint32_t members = parityMap_ ? geo_.diesPerChip : 1;
 
     for (std::uint64_t plane = 0; plane < n_planes; ++plane) {
         if (blocks_.planeDead(plane))
@@ -212,40 +249,40 @@ Ftl::collectGcGroups(bool respect_admission)
         if (blocks_.freeBlocks(plane) >= cfg_.gcFreeBlockThreshold)
             continue;
 
-        // Sibling planes: same chip and plane-in-die on every die.
-        // Collecting whole block groups keeps stripes consistent —
-        // every stripe of the group empties atomically, so no stripe
-        // is left with a stale parity member.
-        PhysAddr addr = blocks_.planeAddr(plane);
+        PhysAddr sib = blocks_.planeAddr(plane);
         std::uint64_t group[kMaxDiesPerChip];
-        for (std::uint32_t d = 0; d < dies; ++d) {
-            PhysAddr sib = addr;
-            sib.die = d;
+        for (std::uint32_t d = 0; d < members; ++d) {
+            if (parityMap_)
+                sib.die = d;
             group[d] = blocks_.planeIndexOf(sib);
         }
 
         bool deferred = false;
         if (respect_admission && gcAdmit_) {
-            for (std::uint32_t d = 0; d < dies && !deferred; ++d) {
+            for (std::uint32_t d = 0; d < members && !deferred; ++d) {
                 if (!blocks_.planeDead(group[d]) && !gcAdmit_(group[d]))
                     deferred = true;
             }
         }
         if (deferred) {
+            // Live-batch bound reached: defer this collection until a
+            // batch retires (the device retries then).
             ++stats_.gcDeferrals;
             continue;
         }
 
-        // Eligible group with the fewest live pages: every live member
-        // Full (or an empty Free/Bad block), dead members drained —
-        // their pages await rebuild and the survivors must stay put.
+        // Greedy victim: the eligible group with the fewest live
+        // pages, lowest block index on a tie. Every live member must
+        // be Full (or an empty Free/Bad block); dead members must be
+        // drained — their pages await rebuild and the survivors must
+        // stay put.
         std::optional<std::uint32_t> best;
         std::uint64_t best_valid = ~0ull;
         for (std::uint32_t b = 0; b < geo_.blocksPerPlane; ++b) {
             bool eligible = false;
             bool blocked = false;
             std::uint64_t valid = 0;
-            for (std::uint32_t d = 0; d < dies && !blocked; ++d) {
+            for (std::uint32_t d = 0; d < members && !blocked; ++d) {
                 const BlockInfo &info = blocks_.block(group[d], b);
                 if (blocks_.planeDead(group[d])) {
                     if (info.validPages != 0)
@@ -278,16 +315,13 @@ Ftl::collectGcGroups(bool respect_admission)
             continue;
 
         bool collected = false;
-        for (std::uint32_t d = 0; d < dies; ++d) {
+        for (std::uint32_t d = 0; d < members; ++d) {
             if (blocks_.planeDead(group[d]))
                 continue;
             if (blocks_.block(group[d], *best).state != BlockState::Full)
                 continue;
-            GcBatch &batch = batchScratch_.append();
-            if (migrateAndErase(group[d], *best, batch))
+            if (migrateAndErase(group[d], *best))
                 collected = true;
-            else
-                batchScratch_.dropLast();
         }
         if (collected)
             ++stats_.gcInvocations;
@@ -298,13 +332,13 @@ Ftl::collectGcGroups(bool respect_admission)
 const GcBatchList &
 Ftl::collectGc()
 {
-    return collectGcImpl(/*respect_admission=*/true);
+    return collectGcGroups(/*respect_admission=*/true);
 }
 
 const GcBatchList &
 Ftl::collectGcUrgent()
 {
-    return collectGcImpl(/*respect_admission=*/false);
+    return collectGcGroups(/*respect_admission=*/false);
 }
 
 bool
@@ -331,11 +365,8 @@ Ftl::collectWearLevel()
         ++stats_.gcDeferrals;
         return batchScratch_;
     }
-    GcBatch &batch = batchScratch_.append();
-    if (migrateAndErase(victim->first, victim->second, batch))
+    if (migrateAndErase(victim->first, victim->second))
         ++stats_.wearLevelMoves;
-    else
-        batchScratch_.dropLast();
     return batchScratch_;
 }
 
@@ -352,30 +383,15 @@ Ftl::onProgramFail(Ppn failed)
     // the LPN) needs no re-program at all.
     Ppn fresh = kInvalidPage;
     if (lpn != kInvalidPage) {
-        auto to = allocateRotating(/*gc_reserve=*/true);
-        for (int round = 0; round < 256 && !to; ++round) {
-            // Emergency reclaim: urgent GC, launched through the GC
-            // engine so its flash time is still charged.
-            const GcBatchList &batches =
-                collectGcImpl(/*respect_admission=*/false);
-            if (batches.empty())
-                break;
-            if (launchBatches_)
-                launchBatches_(batches);
-            to = allocateRotating(/*gc_reserve=*/true);
-        }
+        const auto to = allocateWithReclaim(/*gc_reserve=*/true);
         if (!to) {
             fatal("Ftl: spare capacity exhausted on plane " +
                   std::to_string(plane) +
                   " while re-homing a failed program (ppn " +
                   std::to_string(failed) + ")");
         }
-        mapping_.bind(lpn, *to); // invalidates `failed` in the mapping
-        noteInvalidated(failed);
-        noteValidated(*to);
         ++stats_.programRemaps;
-        if (readdress_)
-            readdress_(lpn, failed, *to);
+        movePage(lpn, failed, *to);
         fresh = *to;
     }
 
@@ -397,45 +413,11 @@ Ftl::retireBlockWithMigration(std::uint64_t plane, std::uint32_t block)
 
     retireScratch_.reset();
     GcBatch &batch = retireScratch_.append();
-    batch.planeIdx = plane;
-    batch.victimBlock = block;
     batch.eraseAfter = false; // Bad blocks are never erased again
-
-    PhysAddr base = blocks_.planeAddr(plane);
-    base.block = block;
-    base.page = 0;
-    batch.victimBasePpn = geo_.compose(base);
-
-    for (std::uint32_t page = 0; page < geo_.pagesPerBlock; ++page) {
-        PhysAddr addr = base;
-        addr.page = page;
-        const Ppn from = geo_.compose(addr);
-        if (!mapping_.isValid(from))
-            continue;
-        const Lpn lpn = mapping_.reverseLookup(from);
-
-        const auto to = allocateRotating(/*gc_reserve=*/true);
-        if (!to) {
-            // Data survives in place: the mapping still resolves, the
-            // block just cannot be reused. Reclaim may relocate it on
-            // a later pass.
-            warn("Ftl::retireBlock: no space to relocate live pages");
-            break;
-        }
-        mapping_.bind(lpn, *to);
-        noteInvalidated(from);
-        noteValidated(*to);
-        batch.migrations.push_back(GcMigration{lpn, from, *to});
-        ++stats_.pagesMigrated;
-        if (readdress_)
-            readdress_(lpn, from, *to);
-    }
-
-    if (batch.migrations.empty()) {
-        retireScratch_.dropLast();
-        return;
-    }
-    if (launchBatches_)
+    // A short evacuation leaves data in place: the mapping still
+    // resolves, the block just cannot be reused.
+    evacuateBlock(plane, block, batch);
+    if (!batch.migrations.empty() && launchBatches_)
         launchBatches_(retireScratch_);
 }
 
@@ -458,25 +440,12 @@ Ftl::rebuildRelocate(Ppn from)
     if (lpn == kInvalidPage)
         return kInvalidPage; // superseded by a newer host write
 
-    auto to = allocateRotating(/*gc_reserve=*/true);
-    for (int round = 0; round < 256 && !to; ++round) {
-        const GcBatchList &batches =
-            collectGcImpl(/*respect_admission=*/false);
-        if (batches.empty())
-            break;
-        if (launchBatches_)
-            launchBatches_(batches);
-        to = allocateRotating(/*gc_reserve=*/true);
-    }
+    const auto to = allocateWithReclaim(/*gc_reserve=*/true);
     if (!to) {
         fatal("Ftl: spare capacity exhausted while rebuilding ppn " +
               std::to_string(from));
     }
-    mapping_.bind(lpn, *to); // invalidates `from`
-    noteInvalidated(from);
-    noteValidated(*to);
-    if (readdress_)
-        readdress_(lpn, from, *to);
+    movePage(lpn, from, *to);
     return *to;
 }
 

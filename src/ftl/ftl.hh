@@ -6,6 +6,14 @@
  * greedy garbage collection with live-data migration, and exposes the
  * readdressing callback Sprinkler uses to track migrations
  * (Section 4.3 of the paper).
+ *
+ * The FTL alone decides and performs space reclaim. Every live-page
+ * move (GC migration, block retirement, program-fail re-homing,
+ * rebuild relocation) rebinds the mapping and fires the readdressing
+ * callback in one place, and every allocation that must not fail
+ * (host writes, read backfill, re-homing, relocation) runs the one
+ * emergency-reclaim loop, which hands its urgent GC batches to the
+ * registered batch launcher so their flash time is charged.
  */
 
 #ifndef SPK_FTL_FTL_HH
@@ -268,10 +276,28 @@ class Ftl
 
     /**
      * Allocate a physical page for writing @p lpn and update the
-     * mapping. The previous copy (if any) becomes invalid.
-     * @return the new Ppn; kInvalidPage if the device is truly full.
+     * mapping. The previous copy (if any) becomes invalid. No reclaim
+     * is attempted (untimed preconditioning and bare-FTL use).
+     * @return the new Ppn; kInvalidPage if no page is free.
      */
     Ppn allocateWrite(Lpn lpn);
+
+    /**
+     * allocateWrite() for a timed host write: when no page is free,
+     * runs emergency reclaim (urgent GC, launched through the batch
+     * launcher) and retries.
+     * @return the new Ppn; kInvalidPage if the device is truly full.
+     */
+    Ppn hostWrite(Lpn lpn);
+
+    /**
+     * Physical location of a host read of @p lpn. A never-written
+     * page is backfilled through hostWrite(), as if the data existed
+     * before the run started; with die parity the backfilled page
+     * also counts as already protected by its stripe's parity.
+     * @return the Ppn; kInvalidPage if a backfill found no space.
+     */
+    Ppn hostRead(Lpn lpn);
 
     /** True when at least one plane is below the GC threshold. */
     bool gcNeeded() const;
@@ -301,8 +327,8 @@ class Ftl
     const GcBatchList &collectGc();
 
     /**
-     * collectGc() without the admission gate: the emergency reclaim
-     * path (write allocation failed) must make space now even if a
+     * collectGc() without the admission gate: emergency reclaim (an
+     * allocation found no free page) must make space now even if a
      * plane is over its live-batch bound.
      */
     const GcBatchList &collectGcUrgent();
@@ -324,10 +350,10 @@ class Ftl
     }
 
     /**
-     * Register the GC-engine launcher used by the fault-recovery
-     * paths (block retirement, emergency reclaim inside
-     * onProgramFail): the FTL hands it batches whose flash time must
-     * be charged immediately, outside the regular collectGc() flow.
+     * Register the GC-engine launcher used by emergency reclaim and
+     * block retirement: the FTL hands it batches whose flash time
+     * must be charged immediately, outside the regular collectGc()
+     * flow. Without a launcher that work is mapping-only.
      */
     using BatchLaunchFn = std::function<void(const GcBatchList &)>;
     void setBatchLauncher(BatchLaunchFn launch)
@@ -392,14 +418,33 @@ class Ftl
     /** Pick the next plane for allocation (channel-stripe rotation). */
     std::optional<Ppn> allocateRotating(bool gc_reserve);
 
+    /** allocateRotating(), running emergency reclaim (urgent GC,
+     *  launched) and retrying while no page is free. */
+    std::optional<Ppn> allocateWithReclaim(bool gc_reserve);
+
+    /** Bind @p lpn to a freshly allocated host page, if any. */
+    Ppn bindHostWrite(Lpn lpn, std::optional<Ppn> ppn);
+
+    /** Move live @p lpn from @p from to @p to: rebind the mapping,
+     *  move the valid count and fire the readdressing callback. */
+    void movePage(Lpn lpn, Ppn from, Ppn to);
+
     /**
-     * Migrate every live page out of (plane, block) and erase it,
-     * recording the work in @p batch.
-     * @return false if migration could not complete (no destination
-     *         space); partial migrations remain applied either way.
+     * Move every live page of (plane, block) into GC-reserve space,
+     * recording the victim and each move in @p batch.
+     * @return false if space ran out first; the moves made so far
+     *         stay applied and recorded.
      */
-    bool migrateAndErase(std::uint64_t plane, std::uint32_t block,
-                         GcBatch &batch);
+    bool evacuateBlock(std::uint64_t plane, std::uint32_t block,
+                       GcBatch &batch);
+
+    /**
+     * Evacuate (plane, block) into a new batchScratch_ batch and
+     * erase it. An evacuation that runs out of space keeps its moves
+     * in a batch that charges them without an erase.
+     * @return true when the block was erased (or its erase failed).
+     */
+    bool migrateAndErase(std::uint64_t plane, std::uint32_t block);
 
     /** Decrement valid count for the block owning @p ppn. */
     void noteInvalidated(Ppn ppn);
@@ -407,12 +452,13 @@ class Ftl
     /** Increment valid count for the block owning @p ppn. */
     void noteValidated(Ppn ppn);
 
-    /** Shared victim loop behind collectGc/collectGcUrgent. */
-    const GcBatchList &collectGcImpl(bool respect_admission);
-
-    /** Stripe-consistent (block-group) victim loop used when parity
-     *  is on: all members of a group are collected together so their
-     *  stripes empty atomically. */
+    /**
+     * The victim loop behind collectGc/collectGcUrgent. A group is
+     * one plane, or with die parity the sibling planes of every die,
+     * whose blocks are collected together so their stripes empty
+     * atomically. The victim is the eligible block (group) with the
+     * fewest valid pages, lowest index on a tie.
+     */
     const GcBatchList &collectGcGroups(bool respect_admission);
 
     /** Forget the stripe membership of an erased block. */
@@ -423,7 +469,7 @@ class Ftl
     void syncParityAfterPrecondition();
 
     /**
-     * Retire (plane, block) as Bad, relocating its live pages and
+     * Retire (plane, block) as Bad, evacuating its live pages and
      * launching the relocation batch through launchBatches_. Uses its
      * own scratch list so it can run while batchScratch_ is live.
      */

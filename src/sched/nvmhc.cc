@@ -69,42 +69,10 @@ Nvmhc::configureStreams(const std::vector<StreamInfo> &infos)
 void
 Nvmhc::translate(MemoryRequest &req)
 {
-    const auto allocate_with_reclaim = [this](Lpn lpn) {
-        Ppn ppn = ftl_.allocateWrite(lpn);
-        for (int round = 0; round < 256 && ppn == kInvalidPage;
-             ++round) {
-            const bool progress =
-                reclaim_ ? reclaim_() : !ftl_.collectGc().empty();
-            if (!progress)
-                break;
-            ppn = ftl_.allocateWrite(lpn);
-        }
-        return ppn;
-    };
-
-    Ppn ppn;
-    if (req.op == FlashOp::Program) {
-        ppn = allocate_with_reclaim(req.lpn);
-        if (ppn == kInvalidPage)
-            fatal("Nvmhc: device out of space");
-    } else {
-        ppn = ftl_.translateRead(req.lpn);
-        if (ppn == kInvalidPage) {
-            // Reading a never-written page: backfill a mapping, as if
-            // the data existed before the trace started.
-            ppn = allocate_with_reclaim(req.lpn);
-            if (ppn == kInvalidPage)
-                fatal("Nvmhc: cannot backfill read mapping");
-            if (StripeParityMap *pm = ftl_.parityMap()) {
-                // The fiction extends to parity: data that "already
-                // existed" was already protected, untimed like a
-                // precondition (otherwise a later die failure would
-                // leave backfilled pages unreconstructable).
-                pm->markDataWritten(ppn);
-                pm->markParityWritten(pm->stripeOf(ppn));
-            }
-        }
-    }
+    const Ppn ppn = req.op == FlashOp::Program ? ftl_.hostWrite(req.lpn)
+                                               : ftl_.hostRead(req.lpn);
+    if (ppn == kInvalidPage)
+        fatal("Nvmhc: device out of space");
     backend_.place(req, ppn);
 }
 

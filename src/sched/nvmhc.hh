@@ -214,17 +214,6 @@ class Nvmhc : private SchedulerView
         afterEnqueue_ = std::move(hook);
     }
 
-    /**
-     * Emergency space reclaim used when write allocation fails. The
-     * hook must run one GC round (and charge its flash time) and
-     * return whether any block was reclaimed. Without a hook the FTL
-     * is invoked directly (mapping-only).
-     */
-    void setReclaimHook(std::function<bool()> hook)
-    {
-        reclaim_ = std::move(hook);
-    }
-
   private:
     // SchedulerView: flat-indexed, allocation-free device queries.
     std::uint32_t outstanding(std::uint32_t chip) const override
@@ -274,7 +263,8 @@ class Nvmhc : private SchedulerView
     /** Per-LPN ordering + FUA barrier check. */
     bool hazardFree(const MemoryRequest &req) const;
 
-    /** Translate @p req at enqueue time; backfills unwritten reads. */
+    /** Translate @p req at enqueue time through the FTL, which
+     *  backfills unwritten reads and reclaims space when needed. */
     void translate(MemoryRequest &req);
 
     EventQueue &events_;
@@ -285,7 +275,6 @@ class Nvmhc : private SchedulerView
     NvmhcConfig cfg_;
     IoCompleteFn onIoComplete_;
     std::function<void()> afterEnqueue_;
-    std::function<bool()> reclaim_;
     ReconstructFn reconstruct_;
 
     /**

@@ -5,9 +5,9 @@
 namespace spk
 {
 
-GcManager::GcManager(FlashBackend &backend,
+GcManager::GcManager(FlashBackend &backend, Ftl &ftl,
                      std::uint32_t max_live_per_plane)
-    : backend_(backend), maxLivePerPlane_(max_live_per_plane)
+    : backend_(backend), ftl_(ftl), maxLivePerPlane_(max_live_per_plane)
 {
     if (maxLivePerPlane_ == 0)
         fatal("GcManager: live-batch bound must be >= 1");
@@ -97,9 +97,9 @@ GcManager::onRequestFinished(MemoryRequest *req)
     // can hand the hot object straight back.
     backend_.release(req);
 
-    // The fail hook and the retirement hook below can re-enter
-    // launch() and grow the batch table, so batches_[slot] must be
-    // re-resolved after every hook call (no cached references).
+    // Program-fail re-homing and the retirement hook below can
+    // re-enter launch() and grow the batch table, so batches_[slot]
+    // must be re-resolved after either (no cached references).
     switch (op) {
       case FlashOp::Read: {
         if (pair == kInvalidPage)
@@ -116,8 +116,9 @@ GcManager::onRequestFinished(MemoryRequest *req)
         break;
       }
       case FlashOp::Program: {
-        if (failed && onProgramFail_) {
-            const Ppn fresh = onProgramFail_(ppn);
+        if (failed) {
+            // The FTL re-homes the page and retires the block.
+            const Ppn fresh = ftl_.onProgramFail(ppn);
             if (fresh != kInvalidPage) {
                 // Re-home the migration onto the replacement page; the
                 // batch completes when the re-issue finishes.

@@ -68,15 +68,17 @@ class GcManager
     /**
      * @param backend the device's flash back end (shared with the
      *        host path; must outlive the manager)
+     * @param ftl re-homes migration programs that fail on flash
+     *        (Ftl::onProgramFail); must outlive the manager
      * @param max_live_per_plane admission bound: at most this many
      *        batches of one plane may be live at once, which makes
      *        the flat batch table statically sizable (planes x bound)
      *        instead of growing with the GC backlog under overload.
      *        Must be >= 1.
      */
-    explicit GcManager(FlashBackend &backend,
-                       std::uint32_t max_live_per_plane =
-                           kDefaultGcBatchesPerPlane);
+    GcManager(FlashBackend &backend, Ftl &ftl,
+              std::uint32_t max_live_per_plane =
+                  kDefaultGcBatchesPerPlane);
 
     /**
      * Begin executing a set of batches produced by Ftl::collectGc.
@@ -111,18 +113,6 @@ class GcManager
         onBatchRetired_ = std::move(hook);
     }
 
-    /**
-     * Invoked when a migration program reports a fault-injected
-     * failure. Receives the failed destination Ppn and returns the
-     * replacement page to re-program, or kInvalidPage when the
-     * mapping was superseded and no re-program is needed (the device
-     * wires this to Ftl::onProgramFail).
-     */
-    void setProgramFailHook(std::function<Ppn(Ppn)> hook)
-    {
-        onProgramFail_ = std::move(hook);
-    }
-
     /** Flash-level completion upcall for GC requests. */
     void onRequestFinished(MemoryRequest *req);
 
@@ -150,8 +140,8 @@ class GcManager
     void retireSlot(std::uint32_t slot);
 
     FlashBackend &backend_;
+    Ftl &ftl_;
     std::function<void()> onBatchRetired_;
-    std::function<Ppn(Ppn)> onProgramFail_;
 
     SlotTable<BatchSlot> batches_;
     /** Live batches per plane (admission accounting). */

@@ -24,7 +24,7 @@ Ssd::Ssd(const SsdConfig &cfg)
         &decoder_);
     backend_->reserveSteadyState(cfg_.nvmhc.queueDepth);
 
-    gc_ = std::make_unique<GcManager>(*backend_,
+    gc_ = std::make_unique<GcManager>(*backend_, *ftl_,
                                       cfg_.gcMaxLiveBatchesPerPlane);
 
     nvmhc_ = std::make_unique<Nvmhc>(
@@ -43,16 +43,6 @@ Ssd::Ssd(const SsdConfig &cfg)
         });
 
     nvmhc_->setAfterEnqueueHook([this] { maybeCollectGc(); });
-    nvmhc_->setReclaimHook([this] {
-        // Emergency reclaim: a write found no free page. Collect past
-        // the admission bound — bounding the batch table is pointless
-        // if the device runs out of space instead.
-        const GcBatchList &batches = ftl_->collectGcUrgent();
-        if (batches.empty())
-            return false;
-        gc_->launch(batches, /*urgent=*/true);
-        return true;
-    });
     ftl_->setGcAdmission([this](std::uint64_t plane) {
         return !gc_->planeSaturated(plane);
     });
@@ -69,15 +59,13 @@ Ssd::Ssd(const SsdConfig &cfg)
         nvmhc_->readdress(lpn, from, to);
     });
 
-    // Fault plumbing: the FTL launches block-retirement migration
-    // batches through the GC engine (urgent — retirement must not be
-    // deferred by the admission bound), and GC migration programs that
-    // fail on flash are re-homed by the FTL.
+    // The FTL launches emergency-reclaim and block-retirement batches
+    // through the GC engine as urgent: they are admitted past the
+    // live-batch bound, since bounding the batch table is pointless if
+    // the device runs out of space instead.
     ftl_->setBatchLauncher([this](const GcBatchList &batches) {
         gc_->launch(batches, /*urgent=*/true);
     });
-    gc_->setProgramFailHook(
-        [this](Ppn failed) { return ftl_->onProgramFail(failed); });
 
     // Die-level parity: the engine keeps stripe parity consistent,
     // serves degraded reads by reconstruction and rebuilds a failed

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <set>
 #include <vector>
 
@@ -157,6 +158,101 @@ TEST(Ftl, CallbackReportsAccurateMove)
         if (ftl.gcNeeded())
             ftl.collectGc();
     }
+}
+
+/** One plane of four-page blocks: every write lands in the plane's
+ *  blocks in order, so a test can place each LPN by hand. */
+FlashGeometry
+onePlane(std::uint32_t blocks)
+{
+    FlashGeometry g;
+    g.numChannels = 1;
+    g.chipsPerChannel = 1;
+    g.diesPerChip = 1;
+    g.planesPerDie = 1;
+    g.blocksPerPlane = blocks;
+    g.pagesPerBlock = 4;
+    return g;
+}
+
+void
+writeAll(Ftl &ftl, std::initializer_list<Lpn> lpns)
+{
+    for (const Lpn lpn : lpns)
+        ASSERT_NE(ftl.allocateWrite(lpn), kInvalidPage) << "lpn " << lpn;
+}
+
+TEST(Ftl, GcVictimIsFullBlockWithFewestValidLowestIndexOnTie)
+{
+    Ftl ftl(onePlane(8), cfg());
+    writeAll(ftl, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15});
+    // Overwrites leave block 0 with 2 valid pages, blocks 1 and 2 with
+    // 1 each, block 3 with 3; blocks 4-5 fill with the new copies and
+    // block 6 opens, so only block 7 stays free.
+    writeAll(ftl, {0, 1, 4, 5, 6, 8, 9, 10, 12});
+    ASSERT_TRUE(ftl.gcNeeded());
+
+    const GcBatchList &batches = ftl.collectGc();
+    ASSERT_EQ(batches.size(), 1u);
+    EXPECT_EQ(batches[0].victimBlock, 1u);
+    ASSERT_EQ(batches[0].migrations.size(), 1u);
+    EXPECT_EQ(batches[0].migrations[0].lpn, 7u);
+    EXPECT_TRUE(batches[0].eraseAfter);
+    EXPECT_EQ(ftl.stats().gcInvocations, 1u);
+}
+
+TEST(Ftl, GcWithoutFullBlockReturnsNoBatch)
+{
+    FtlConfig c = cfg();
+    c.gcFreeBlockThreshold = 8; // the plane always wants GC
+    Ftl ftl(onePlane(8), c);
+    writeAll(ftl, {0}); // block 0 active, none full
+    ASSERT_TRUE(ftl.gcNeeded());
+    EXPECT_TRUE(ftl.collectGc().empty());
+    EXPECT_EQ(ftl.stats().gcInvocations, 0u);
+}
+
+TEST(Ftl, AbortedEvacuationKeepsItsMovesWithoutErase)
+{
+    // Every erase wears its block out, so reclaimed blocks never
+    // return to the free list and the second collection runs out of
+    // destination space halfway through its victim.
+    FtlConfig c = cfg();
+    c.endurance = 1;
+    Ftl ftl(onePlane(4), c);
+    std::vector<GcMigration> readdressed;
+    ftl.setReaddressCallback([&readdressed](Lpn lpn, Ppn from, Ppn to) {
+        readdressed.push_back(GcMigration{lpn, from, to});
+    });
+    // Block 0 keeps LPNs 2-3 live, block 1 keeps 5-7, block 2 holds
+    // 0, 1, 4, 8; block 3 is the GC reserve.
+    writeAll(ftl, {0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 4, 8});
+    ASSERT_EQ(ftl.allocateWrite(9), kInvalidPage);
+
+    // Block 0 moves into the reserve block and wears out.
+    ASSERT_EQ(ftl.collectGc().size(), 1u);
+    EXPECT_EQ(ftl.stats().gcInvocations, 1u);
+    EXPECT_EQ(ftl.stats().blocksRetiredWear, 1u);
+
+    // Block 1 has three live pages, the reserve two free slots.
+    readdressed.clear();
+    const GcBatchList &batches = ftl.collectGc();
+    ASSERT_EQ(batches.size(), 1u);
+    const GcBatch &batch = batches[0];
+    EXPECT_EQ(batch.victimBlock, 1u);
+    EXPECT_FALSE(batch.eraseAfter);
+    ASSERT_EQ(batch.migrations.size(), 2u);
+    ASSERT_EQ(readdressed.size(), 2u);
+    for (std::size_t i = 0; i < 2; ++i) {
+        const GcMigration &mig = batch.migrations[i];
+        EXPECT_EQ(ftl.translateRead(mig.lpn), mig.to);
+        EXPECT_EQ(readdressed[i].lpn, mig.lpn);
+        EXPECT_EQ(readdressed[i].to, mig.to);
+    }
+    EXPECT_EQ(ftl.stats().pagesMigrated, 4u);
+    EXPECT_EQ(ftl.stats().gcInvocations, 1u); // the abort is not one
+    EXPECT_EQ(ftl.blocks().block(0, 1).validPages, 1u);
+    EXPECT_EQ(ftl.blocks().block(0, 1).state, BlockState::Full);
 }
 
 TEST(Ftl, PreconditionFillsRequestedFraction)

@@ -149,5 +149,36 @@ TEST(GcIntegration, Spk3UsesReaddressingVasPaysRetries)
     EXPECT_GE(retries(SchedulerKind::VAS), retries(SchedulerKind::SPK3));
 }
 
+TEST(GcIntegration, HostWriteWithNoFreePageReclaimsUrgently)
+{
+    // One write larger than all free space: its pages are translated
+    // at enqueue, before the device's GC trigger runs, so the FTL's
+    // emergency reclaim must make room in the middle of the I/O.
+    Ssd ssd(config(SchedulerKind::SPK3));
+    ssd.preconditionForGc(0.90, 0.30);
+    const Ftl &ftl = ssd.ftl();
+    std::uint64_t free_pages = 0;
+    for (std::uint64_t p = 0; p < ftl.blocks().numPlanes(); ++p)
+        free_pages += ftl.blocks().freePages(p);
+    const std::uint64_t pages = free_pages + 64;
+    ASSERT_LT(pages, ftl.logicalPages());
+
+    const std::uint64_t page_bytes = ssd.config().geometry.pageSizeBytes;
+    ssd.submitAt(0, true, 0, pages * page_bytes);
+    ssd.submitAt(kMicrosecond, false, 0, 8 * page_bytes);
+    ssd.run();
+
+    const MetricsSnapshot m = ssd.metrics();
+    EXPECT_EQ(m.iosCompleted, 2u);
+    EXPECT_EQ(m.failedIos, 0u);
+    EXPECT_GT(ssd.gc().stats().batches, 0u);
+    EXPECT_GE(ftl.stats().hostWrites, pages);
+    for (Lpn lpn = 0; lpn < pages; ++lpn) {
+        const Ppn ppn = ftl.translateRead(lpn);
+        ASSERT_NE(ppn, kInvalidPage);
+        EXPECT_EQ(ftl.mapping().reverseLookup(ppn), lpn);
+    }
+}
+
 } // namespace
 } // namespace spk

@@ -8,6 +8,11 @@
  * exhibit under tier-1 guard: a scheduler regression that would
  * silently bend a figure shows up here as a digest mismatch.
  *
+ * A second pinned grid covers what the exhibit campaign never runs:
+ * garbage collection on a preconditioned device, program/erase
+ * failures that retire blocks, and a die failure healed by the
+ * parity rebuild; it digests every MetricsSnapshot field.
+ *
  * To re-pin after an intentional behavior change, run with
  * SPK_SWEEP_GOLDEN_REGEN=1: the pinned test prints a ready-to-paste
  * table and fails.
@@ -23,7 +28,9 @@
 #include <sstream>
 
 #include "sim/sweep.hh"
+#include "ssd/ssd.hh"
 #include "workload/paper_traces.hh"
+#include "workload/synthetic.hh"
 
 namespace spk
 {
@@ -123,6 +130,179 @@ digest(const MetricsSnapshot &m)
     u64(m.gcBatches);
     u64(m.pagesMigrated);
     return h;
+}
+
+/** FNV-1a over every MetricsSnapshot field, walked through the field
+ *  table so that a new metric joins the digest without an edit. */
+class FieldDigest
+{
+  public:
+    template <typename S>
+    void
+    fields(const S &s)
+    {
+        S::forEachField(
+            [this, &s](const auto &row) { value(s.*row.member); });
+    }
+
+    std::uint64_t hash() const { return h_; }
+
+  private:
+    void
+    value(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h_ ^= static_cast<std::uint8_t>(v >> (8 * i));
+            h_ *= 1099511628211ull;
+        }
+    }
+    void value(double d) { value(std::bit_cast<std::uint64_t>(d)); }
+    void
+    value(const std::string &s)
+    {
+        value(std::uint64_t{s.size()});
+        for (const char c : s)
+            value(std::uint64_t{static_cast<std::uint8_t>(c)});
+    }
+    template <typename T, std::size_t N>
+    void
+    value(const std::array<T, N> &a)
+    {
+        for (const T &e : a)
+            value(e);
+    }
+    void
+    value(const std::vector<StreamMetrics> &streams)
+    {
+        value(std::uint64_t{streams.size()});
+        for (const StreamMetrics &s : streams)
+            fields(s);
+    }
+
+    std::uint64_t h_ = 1469598103934665603ull;
+};
+
+std::uint64_t
+fullDigest(const MetricsSnapshot &m)
+{
+    FieldDigest d;
+    d.fields(m);
+    return d.hash();
+}
+
+/** One cell of the reclaim/fault grid. */
+struct ReclaimCell
+{
+    const char *name;
+    SsdConfig cfg;
+    std::uint64_t ios;
+    double writeFraction;
+    double preconditionFill; //!< 0: start from an empty device
+};
+
+std::vector<ReclaimCell>
+reclaimGrid()
+{
+    const auto base = [](SchedulerKind kind) {
+        SsdConfig cfg = goldenConfig(kind, 303);
+        cfg.ftl.overprovision = 0.20;
+        return cfg;
+    };
+    std::vector<ReclaimCell> grid;
+    // Preconditioned GC with parity off, under both scheduler
+    // families: migrations readdress queued host requests.
+    grid.push_back({"gc/VAS", base(SchedulerKind::VAS), 600, 0.7, 0.95});
+    grid.push_back({"gc/SPK3", base(SchedulerKind::SPK3), 600, 0.7, 0.95});
+    // Program and erase failures on a preconditioned device: remaps,
+    // block retirement with migration, failed erases.
+    ReclaimCell faults{"faults/SPK3", base(SchedulerKind::SPK3), 600, 0.7,
+                       0.95};
+    faults.cfg.fault.readTransientRate = 2e-2;
+    faults.cfg.fault.programFailRate = 2e-3;
+    faults.cfg.fault.eraseFailRate = 2e-2;
+    grid.push_back(faults);
+    // Die parity on a preconditioned device (block-group GC) with
+    // program failures and a mid-run die failure healed by rebuild.
+    ReclaimCell parity{"parity-rebuild/SPK3", base(SchedulerKind::SPK3),
+                       1200, 0.5, 0.8};
+    parity.cfg.parity.enabled = true;
+    parity.cfg.parity.rebuildPageInterval = 2 * kMicrosecond;
+    parity.cfg.fault.programFailRate = 2e-3;
+    parity.cfg.fault.dieFailTick = 2 * kMillisecond;
+    parity.cfg.fault.dieFailChip = 1;
+    parity.cfg.fault.dieFailDie = 0;
+    grid.push_back(parity);
+    return grid;
+}
+
+MetricsSnapshot
+runReclaimCell(const ReclaimCell &cell)
+{
+    // Half the host-visible span (parity-on capacity is smaller).
+    const FlashGeometry &g = cell.cfg.geometry;
+    std::uint64_t span = g.totalPages() * g.pageSizeBytes / 2;
+    if (cell.cfg.parity.enabled)
+        span = span / g.diesPerChip * (g.diesPerChip - 1);
+    Ssd ssd(cell.cfg);
+    if (cell.preconditionFill > 0)
+        ssd.preconditionForGc(cell.preconditionFill);
+    ssd.replay(fixedSizeStream(cell.ios, 8192, cell.writeFraction, span,
+                               5 * kMicrosecond, cell.cfg.seed));
+    ssd.run();
+    return ssd.metrics();
+}
+
+/**
+ * Pinned full-field digests of the reclaim/fault grid: GC victim
+ * choice, migration, emergency reclaim, block retirement, program
+ * re-homing and rebuild relocation all feed these numbers. Re-pin
+ * only with a change meant to alter simulated behavior, via
+ * SPK_SWEEP_GOLDEN_REGEN=1.
+ */
+TEST(SweepGolden, ReclaimAndFaultDigestsArePinned)
+{
+    struct Pinned
+    {
+        const char *name;
+        std::uint64_t digest;
+    };
+    const Pinned expected[] = {
+        // clang-format off
+        {"gc/VAS", 0xbdb6d15918aa3832ull},
+        {"gc/SPK3", 0xf42a08ac5faa8071ull},
+        {"faults/SPK3", 0xc7e3cacd5ef15e38ull},
+        {"parity-rebuild/SPK3", 0xaa3d7e198587b77cull},
+        // clang-format on
+    };
+
+    const std::vector<ReclaimCell> grid = reclaimGrid();
+    ASSERT_EQ(grid.size(), std::size(expected));
+    std::vector<MetricsSnapshot> results;
+    for (const ReclaimCell &cell : grid)
+        results.push_back(runReclaimCell(cell));
+
+    if (std::getenv("SPK_SWEEP_GOLDEN_REGEN") != nullptr) {
+        for (std::size_t i = 0; i < grid.size(); ++i) {
+            std::printf("        {\"%s\", 0x%llxull},\n", grid[i].name,
+                        static_cast<unsigned long long>(
+                            fullDigest(results[i])));
+        }
+        FAIL() << "SPK_SWEEP_GOLDEN_REGEN set: paste the table above";
+    }
+
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        ASSERT_STREQ(grid[i].name, expected[i].name);
+        EXPECT_EQ(fullDigest(results[i]), expected[i].digest)
+            << grid[i].name << "\n" << results[i];
+    }
+    // The grid reaches the paths it is meant to pin.
+    EXPECT_GT(results[0].gcBatches, 0u);
+    EXPECT_GT(results[1].gcBatches, 0u);
+    EXPECT_GT(results[2].programRemaps, 0u);
+    EXPECT_GT(results[2].blocksRetiredErase, 0u);
+    EXPECT_GT(results[3].gcBatches, 0u);
+    EXPECT_GT(results[3].rebuildPagesRebuilt, 0u);
+    EXPECT_EQ(results[3].degradedDies, 0u);
 }
 
 TEST(SweepGolden, ShardedMatchesSequentialBitIdentical)

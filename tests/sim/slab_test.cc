@@ -174,6 +174,7 @@ TEST(SlabGcCrossCheck, RandomBatchStormMatchesMapModel)
     geo.blocksPerPlane = 64;
     geo.pagesPerBlock = 8;
 
+    Ftl ftl(geo, FtlConfig{});
     EventQueue events;
     Slab<MemoryRequest> arena;
     std::unique_ptr<FlashBackend> backend;
@@ -188,7 +189,7 @@ TEST(SlabGcCrossCheck, RandomBatchStormMatchesMapModel)
             model.observe(req->op, req->job);
             gc->onRequestFinished(req);
         });
-    gc = std::make_unique<GcManager>(*backend);
+    gc = std::make_unique<GcManager>(*backend, ftl);
 
     Rng rng(99);
     std::uint64_t launched = 0;

@@ -23,6 +23,7 @@ struct Fixture
     FlashGeometry geo;
     EventQueue events;
     Slab<MemoryRequest> arena;
+    std::unique_ptr<Ftl> ftl;
     std::unique_ptr<FlashBackend> backend;
     std::unique_ptr<GcManager> gc;
     int retiredCalls = 0;
@@ -45,7 +46,8 @@ struct Fixture
                 completedOps.push_back(req->op);
                 gc->onRequestFinished(req);
             });
-        gc = std::make_unique<GcManager>(*backend, cap);
+        ftl = std::make_unique<Ftl>(geo, FtlConfig{});
+        gc = std::make_unique<GcManager>(*backend, *ftl, cap);
         gc->setBatchRetiredHook([this] { ++retiredCalls; });
     }
 
