@@ -44,6 +44,8 @@ struct IoRequest
 
     Tick arrival = 0;    //!< host issued the request
     Tick enqueued = 0;   //!< secured a queue tag (>= arrival if stalled)
+    /** Device-queue arrival number: older I/Os have smaller ones. */
+    std::uint64_t seq = 0;
     Tick completed = 0;  //!< all memory requests finished
 
     /** Page-sized children; filled at enqueue (preprocess). Backed

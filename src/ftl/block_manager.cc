@@ -22,9 +22,10 @@ allocationPolicyName(AllocationPolicy policy)
 
 BlockManager::BlockManager(const FlashGeometry &geo,
                            std::uint32_t endurance,
-                           AllocationPolicy policy, bool parity_reserve)
+                           AllocationPolicy policy, bool parity_reserve,
+                           std::uint32_t gc_threshold)
     : geo_(geo), endurance_(endurance), policy_(policy),
-      parityReserve_(parity_reserve)
+      parityReserve_(parity_reserve), gcThreshold_(gc_threshold)
 {
     const std::uint64_t n_planes = std::uint64_t{geo.numChips()} *
                                    geo.diesPerChip * geo.planesPerDie;
@@ -35,7 +36,20 @@ BlockManager::BlockManager(const FlashGeometry &geo,
         for (std::uint32_t b = 0; b < geo.blocksPerPlane; ++b)
             freeSlots_[p * geo.blocksPerPlane + b] = b;
         planes_[p].freeCount = geo.blocksPerPlane;
+        planes_[p].freeBlocks = geo.blocksPerPlane;
     }
+    lowPlanes_ = geo.blocksPerPlane < gcThreshold_ ? n_planes : 0;
+}
+
+void
+BlockManager::setPlaneState(std::uint64_t plane_idx,
+                            std::uint32_t free_blocks, bool dead)
+{
+    Plane &plane = planes_[plane_idx];
+    const bool was_low = planeLow(plane);
+    plane.freeBlocks = free_blocks;
+    plane.dead = dead;
+    lowPlanes_ = lowPlanes_ - (was_low ? 1 : 0) + (planeLow(plane) ? 1 : 0);
 }
 
 void
@@ -128,6 +142,7 @@ BlockManager::ensureActive(std::uint64_t plane_idx, bool gc_reserve)
         blocks[b].state = BlockState::Active;
         blocks[b].writtenPages = 0;
         plane.activeBlock = static_cast<std::int32_t>(b);
+        addFreeBlocks(plane_idx, -1);
         return true;
     }
     return false;
@@ -171,13 +186,17 @@ BlockManager::allocatePage(std::uint64_t plane_idx, bool gc_reserve)
 }
 
 std::uint32_t
-BlockManager::freeBlocks(std::uint64_t plane_idx) const
+BlockManager::countFreeListEntries(std::uint64_t plane_idx) const
 {
     const Plane &plane = planes_.at(plane_idx);
     const BlockInfo *blocks = planeBlocks(plane_idx);
+    const std::uint32_t *slots =
+        freeSlots_.data() + plane_idx * geo_.blocksPerPlane;
     std::uint32_t n = 0;
     for (std::uint32_t i = 0; i < plane.freeCount; ++i) {
-        if (blocks[freeSlotAt(plane_idx, i)].state == BlockState::Free)
+        const std::uint32_t pos =
+            (plane.freeHead + i) % geo_.blocksPerPlane;
+        if (blocks[slots[pos]].state == BlockState::Free)
             ++n;
     }
     return n;
@@ -218,6 +237,8 @@ BlockManager::eraseBlock(std::uint64_t plane_idx, std::uint32_t blk)
         panic("BlockManager::eraseBlock on a bad block");
     if (info.validPages != 0)
         panic("BlockManager::eraseBlock with live pages");
+    // A Free block already holds its one free-list entry.
+    const bool was_free = info.state == BlockState::Free;
 
     ++info.eraseCount;
     maxErase_ = std::max(maxErase_, info.eraseCount);
@@ -230,10 +251,15 @@ BlockManager::eraseBlock(std::uint64_t plane_idx, std::uint32_t blk)
         // Bad block replacement: retire; capacity shrinks.
         info.state = BlockState::Bad;
         ++badBlocks_;
+        if (was_free)
+            addFreeBlocks(plane_idx, -1);
         return false;
     }
     info.state = BlockState::Free;
-    freePushBack(plane_idx, blk);
+    if (!was_free) {
+        freePushBack(plane_idx, blk);
+        addFreeBlocks(plane_idx, +1);
+    }
     return true;
 }
 
@@ -250,6 +276,8 @@ BlockManager::retireBlock(std::uint64_t plane_idx, std::uint32_t blk)
         plane.activeBlock = -1;
     // A retired block may still sit in the free list (fault while
     // Free); ensureActive skips non-Free entries, so it is harmless.
+    if (info.state == BlockState::Free)
+        addFreeBlocks(plane_idx, -1);
     info.state = BlockState::Bad;
     ++badBlocks_;
 }
@@ -260,7 +288,7 @@ BlockManager::markPlaneDead(std::uint64_t plane_idx)
     Plane &plane = planes_.at(plane_idx);
     if (plane.dead)
         return;
-    plane.dead = true;
+    setPlaneState(plane_idx, plane.freeBlocks, /*dead=*/true);
     ++deadPlanes_;
 }
 
@@ -283,7 +311,7 @@ BlockManager::revivePlane(std::uint64_t plane_idx)
         info.writtenPages = 0;
         freePushBack(plane_idx, b);
     }
-    plane.dead = false;
+    setPlaneState(plane_idx, plane.freeCount, /*dead=*/false);
     --deadPlanes_;
 }
 

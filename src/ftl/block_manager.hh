@@ -80,10 +80,13 @@ class BlockManager
      *        the frontier skips offsets where (block + page) %
      *        diesPerChip equals the plane's die, leaving them for the
      *        parity engine
+     * @param gc_threshold live planes with fewer free blocks than this
+     *        are counted by planesBelowGcThreshold()
      */
     BlockManager(const FlashGeometry &geo, std::uint32_t endurance,
                  AllocationPolicy policy = AllocationPolicy::ChannelStripe,
-                 bool parity_reserve = false);
+                 bool parity_reserve = false,
+                 std::uint32_t gc_threshold = 0);
 
     std::uint64_t numPlanes() const { return planes_.size(); }
 
@@ -106,8 +109,19 @@ class BlockManager
     std::optional<Ppn> allocatePage(std::uint64_t plane_idx,
                                     bool gc_reserve = false);
 
-    /** Free blocks remaining in a plane (not counting the active one). */
-    std::uint32_t freeBlocks(std::uint64_t plane_idx) const;
+    /** Free blocks remaining in a plane (not counting the active one);
+     *  O(1), kept exact at every block-state change. */
+    std::uint32_t freeBlocks(std::uint64_t plane_idx) const
+    {
+        return planes_.at(plane_idx).freeBlocks;
+    }
+
+    /** Live planes whose freeBlocks() is below the GC threshold. */
+    std::uint64_t planesBelowGcThreshold() const { return lowPlanes_; }
+
+    /** Free entries of a plane's free-list ring, counted by walking
+     *  it: the O(blocks) audit of freeBlocks(). */
+    std::uint32_t countFreeListEntries(std::uint64_t plane_idx) const;
 
     /** Block metadata (block addressed by plane + block-in-plane). */
     const BlockInfo &block(std::uint64_t plane_idx,
@@ -191,6 +205,9 @@ class BlockManager
          */
         std::uint32_t freeHead = 0;
         std::uint32_t freeCount = 0;
+        /** Ring entries whose block is Free. A Free block sits in the
+         *  ring exactly once; Bad ones may linger there until popped. */
+        std::uint32_t freeBlocks = 0;
         std::int32_t activeBlock = -1; //!< -1: none
         bool dead = false; //!< whole plane offline (die failure)
     };
@@ -205,14 +222,25 @@ class BlockManager
         return blocks_.data() + plane_idx * geo_.blocksPerPlane;
     }
 
-    /** i-th oldest entry of a plane's free-list ring. */
-    std::uint32_t freeSlotAt(std::uint64_t plane_idx,
-                             std::uint32_t i) const
+    /** True when a live plane is below the GC threshold. */
+    bool planeLow(const Plane &plane) const
     {
-        const Plane &plane = planes_[plane_idx];
-        const std::uint32_t pos =
-            (plane.freeHead + i) % geo_.blocksPerPlane;
-        return freeSlots_[plane_idx * geo_.blocksPerPlane + pos];
+        return !plane.dead && plane.freeBlocks < gcThreshold_;
+    }
+
+    /** Set a plane's Free-block count and its dead flag, keeping
+     *  lowPlanes_ exact. */
+    void setPlaneState(std::uint64_t plane_idx, std::uint32_t free_blocks,
+                       bool dead);
+
+    /** Add @p delta to a plane's Free-block count. */
+    void addFreeBlocks(std::uint64_t plane_idx, int delta)
+    {
+        Plane &plane = planes_[plane_idx];
+        setPlaneState(plane_idx,
+                      static_cast<std::uint32_t>(
+                          static_cast<int>(plane.freeBlocks) + delta),
+                      plane.dead);
     }
 
     void freePushBack(std::uint64_t plane_idx, std::uint32_t blk);
@@ -225,6 +253,8 @@ class BlockManager
     std::uint32_t endurance_;
     AllocationPolicy policy_;
     bool parityReserve_ = false;
+    std::uint32_t gcThreshold_ = 0;
+    std::uint64_t lowPlanes_ = 0; //!< live planes below gcThreshold_
     std::vector<Plane> planes_;
     std::vector<BlockInfo> blocks_;        //!< planes x blocksPerPlane
     std::vector<std::uint32_t> freeSlots_; //!< planes x blocksPerPlane

@@ -31,7 +31,8 @@ Ftl::Ftl(const FlashGeometry &geo, const FtlConfig &cfg,
     : geo_(geo),
       cfg_(cfg),
       mapping_(geo, logicalCapacity(geo, cfg.overprovision, die_parity)),
-      blocks_(geo, cfg.endurance, cfg.allocation, die_parity),
+      blocks_(geo, cfg.endurance, cfg.allocation, die_parity,
+              cfg.gcFreeBlockThreshold),
       faults_(faults)
 {
     geo_.validate();
@@ -146,14 +147,8 @@ Ftl::movePage(Lpn lpn, Ppn from, Ppn to)
 bool
 Ftl::gcNeeded() const
 {
-    const std::uint64_t n_planes = blocks_.numPlanes();
-    for (std::uint64_t p = 0; p < n_planes; ++p) {
-        if (blocks_.planeDead(p))
-            continue; // nothing left to reclaim on a dead plane
-        if (blocks_.freeBlocks(p) < cfg_.gcFreeBlockThreshold)
-            return true;
-    }
-    return false;
+    // Dead planes are not counted: nothing left to reclaim there.
+    return blocks_.planesBelowGcThreshold() != 0;
 }
 
 bool
@@ -257,10 +252,11 @@ Ftl::collectGcGroups(bool respect_admission)
             group[d] = blocks_.planeIndexOf(sib);
         }
 
+        const bool gated = respect_admission && gcAdmit_;
         bool deferred = false;
-        if (respect_admission && gcAdmit_) {
+        if (gated) {
             for (std::uint32_t d = 0; d < members && !deferred; ++d) {
-                if (!blocks_.planeDead(group[d]) && !gcAdmit_(group[d]))
+                if (!blocks_.planeDead(group[d]) && gcAdmit_(group[d]) == 0)
                     deferred = true;
             }
         }
@@ -314,13 +310,34 @@ Ftl::collectGcGroups(bool respect_admission)
         if (!best)
             continue;
 
+        const auto takesBatch = [&](std::uint32_t d) {
+            return !blocks_.planeDead(group[d]) &&
+                   blocks_.block(group[d], *best).state == BlockState::Full;
+        };
+        // With die parity a group is visited once per needy member,
+        // so this round may already hold batches for it: they count
+        // toward the bound too, or the launch would overrun it.
+        if (gated && members > 1) {
+            for (std::uint32_t d = 0; d < members && !deferred; ++d) {
+                if (!takesBatch(d))
+                    continue;
+                const auto queued = static_cast<std::uint32_t>(
+                    std::count_if(batchScratch_.begin(), batchScratch_.end(),
+                                  [&](const GcBatch &batch) {
+                                      return batch.planeIdx == group[d];
+                                  }));
+                if (queued >= gcAdmit_(group[d]))
+                    deferred = true;
+            }
+            if (deferred) {
+                ++stats_.gcDeferrals;
+                continue;
+            }
+        }
+
         bool collected = false;
         for (std::uint32_t d = 0; d < members; ++d) {
-            if (blocks_.planeDead(group[d]))
-                continue;
-            if (blocks_.block(group[d], *best).state != BlockState::Full)
-                continue;
-            if (migrateAndErase(group[d], *best))
+            if (takesBatch(d) && migrateAndErase(group[d], *best))
                 collected = true;
         }
         if (collected)
@@ -361,7 +378,7 @@ Ftl::collectWearLevel()
     const auto victim = blocks_.pickColdestFull();
     if (!victim)
         return batchScratch_;
-    if (gcAdmit_ && !gcAdmit_(victim->first)) {
+    if (gcAdmit_ && gcAdmit_(victim->first) == 0) {
         ++stats_.gcDeferrals;
         return batchScratch_;
     }
@@ -493,8 +510,9 @@ Ftl::precondition(double fill_fraction, double churn_fraction, Rng &rng)
         const Lpn lpn = rng.nextBelow(n_fill);
         if (allocateWrite(lpn) == kInvalidPage) {
             // Out of space: reclaim synchronously (mapping-only GC);
-            // preconditioning is not timed.
-            collectGc();
+            // preconditioning is not timed and launches nothing, so
+            // no live-batch bound applies.
+            collectGcUrgent();
             if (allocateWrite(lpn) == kInvalidPage)
                 break;
         }
@@ -503,7 +521,7 @@ Ftl::precondition(double fill_fraction, double churn_fraction, Rng &rng)
     // Leave the device at the GC threshold, not beyond it: the timed
     // run should start from a fragmented-but-operable state.
     for (int rounds = 0; rounds < 1024 && gcNeeded(); ++rounds) {
-        if (collectGc().empty())
+        if (collectGcUrgent().empty())
             break;
     }
 

@@ -303,13 +303,15 @@ class Ftl
     bool gcNeeded() const;
 
     /**
-     * Per-plane GC admission gate. When set, collectGc() skips (and
-     * counts as deferred) planes the predicate rejects — the device
-     * wires this to the GC engine's live-batch bound so the flat
-     * batch table stays statically sizable. Deferred planes are
+     * Per-plane GC admission gate: how many more batches a plane may
+     * take now. When set, collectGc() skips (and counts as deferred)
+     * a group with a member at 0, and a group whose victim would give
+     * a member more batches in one round than its headroom — the
+     * device wires this to the GC engine's live-batch bound so the
+     * flat batch table stays statically sizable. Deferred planes are
      * retried when a batch retires (GcManager's retirement hook).
      */
-    using GcAdmission = std::function<bool(std::uint64_t plane)>;
+    using GcAdmission = std::function<std::uint32_t(std::uint64_t plane)>;
     void setGcAdmission(GcAdmission admit)
     {
         gcAdmit_ = std::move(admit);
@@ -456,8 +458,10 @@ class Ftl
      * The victim loop behind collectGc/collectGcUrgent. A group is
      * one plane, or with die parity the sibling planes of every die,
      * whose blocks are collected together so their stripes empty
-     * atomically. The victim is the eligible block (group) with the
-     * fewest valid pages, lowest index on a tie.
+     * atomically; a group is visited once per needy member, so one
+     * round can collect it more than once. The victim is the
+     * eligible block (group) with the fewest valid pages, lowest
+     * index on a tie.
      */
     const GcBatchList &collectGcGroups(bool respect_admission);
 

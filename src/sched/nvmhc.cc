@@ -148,6 +148,7 @@ Nvmhc::enqueue(const PendingSubmission &sub)
 
     IoRequest *raw = io;
     queue_.push_back(raw);
+    fua_.enqueued(*io);
     if (afterEnqueue_)
         afterEnqueue_();
     pump();
@@ -189,15 +190,9 @@ Nvmhc::hazardFree(const MemoryRequest &req) const
 
     // FUA barrier: an FUA I/O is served strictly in order -- nothing
     // younger starts before it finishes, and it waits for everything
-    // older (Section 4.4, hazard control).
-    for (const IoRequest *io : queue_) {
-        if (io->tag == req.tag)
-            return !io->fua || io == queue_.front();
-        if (io->fua)
-            return false; // older FUA I/O still incomplete
-    }
-    // GC requests never enter the queue; they bypass the barrier.
-    return true;
+    // older (Section 4.4, hazard control). Every request on an LPN
+    // chain belongs to a queued host I/O.
+    return fua_.admits(slots_[req.tag], queue_.front());
 }
 
 void
@@ -370,6 +365,7 @@ Nvmhc::finishRequestTail(MemoryRequest *req, IoRequest *io)
         if (qit == queue_.end())
             panic("Nvmhc: completed I/O missing from queue");
         queue_.erase(qit);
+        fua_.retired(*io);
         const TagId tag = io->tag;
         // Recycle the entry in place: pages return to the slab, the
         // slot keeps its vector/bitmap capacity for the next I/O.

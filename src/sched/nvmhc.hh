@@ -21,6 +21,7 @@
 #include "controller/io_request.hh"
 #include "ftl/ftl.hh"
 #include "sched/chip_pending.hh"
+#include "sched/fua_barrier.hh"
 #include "sched/lpn_chain.hh"
 #include "sched/queue_arbiter.hh"
 #include "sched/scheduler.hh"
@@ -286,6 +287,8 @@ class Nvmhc : private SchedulerView
     /** Recycled tag ids (LIFO); tags stay in [0, queueDepth). */
     std::vector<TagId> freeTags_;
     RingDeque<IoRequest *> queue_; //!< arrival order, live entries
+    /** Queued FUA I/Os, for the O(1) barrier check in hazardFree. */
+    FuaBarrier fua_;
 
     /** Per-stream tag-wait queues (NVMe submission queues), indexed
      *  by stream id; sized by configureStreams (default: one). */

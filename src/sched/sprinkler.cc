@@ -173,38 +173,58 @@ SprinklerScheduler::nextFaroOnly(SchedulerContext &ctx)
     // always secure enough memory requests without RIOS's help").
     constexpr std::size_t kLookaheadIos = 4;
 
-    if (faroPerChip_.size() < ctx.geo->numChips())
-        faroPerChip_.resize(ctx.geo->numChips());
-    for (const auto chip : faroTouched_)
-        faroPerChip_[chip].clear();
-    faroTouched_.clear();
-
-    std::size_t seen = 0;
-    for (IoRequest *io : *ctx.queue) {
+    TagId head[kLookaheadIos];
+    std::size_t n_head = 0;
+    for (const IoRequest *io : *ctx.queue) {
         if (io->allComposed())
             continue;
-        for (MemoryRequest *page : io->pages) {
-            MemoryRequest *req = page;
-            if (req->composed || req->composing)
-                continue;
-            if (!ctx.view->schedulable(*req))
-                continue;
-            if (faroPerChip_[req->addr.chip].empty())
-                faroTouched_.push_back(req->addr.chip);
-            faroPerChip_[req->addr.chip].push_back(req);
-        }
-        if (++seen >= kLookaheadIos)
+        head[n_head++] = io->tag;
+        if (n_head == kLookaheadIos)
             break;
     }
-    std::sort(faroTouched_.begin(), faroTouched_.end());
+    if (n_head == 0)
+        return nullptr;
 
+    const auto by_id = [](const MemoryRequest *a, const MemoryRequest *b) {
+        return a->id < b->id;
+    };
     std::size_t best_depth = 0;
     std::uint64_t best_seed = 0;
     bestScratch_.clear();
-    for (const auto chip : faroTouched_) {
-        if (ctx.view->outstanding(chip) >= window_)
+    const std::uint32_t n_chips = ctx.geo->numChips();
+    for (std::uint32_t chip = 0; chip < n_chips; ++chip) {
+        if (ctx.pending->front(chip) == nullptr ||
+            ctx.view->outstanding(chip) >= window_)
             continue;
-        bestSetFrom(faroPerChip_[chip], chip, setScratch_);
+        // The chip's requests of the head I/Os, in request-id order.
+        // The head I/Os are in id order already; a readdressed read
+        // rejoined its (chip, tag) list at the back.
+        candScratch_.clear();
+        std::uint64_t oldest = ~std::uint64_t{0};
+        for (std::size_t i = 0; i < n_head; ++i) {
+            for (MemoryRequest *req = ctx.pending->frontOf(chip, head[i]);
+                 req != nullptr; req = req->chipTagNext) {
+                if (!req->composing) {
+                    candScratch_.push_back(req);
+                    oldest = std::min(oldest, req->id);
+                }
+            }
+        }
+        // A set is at most window_ deep and seeded by one of these
+        // requests: skip the chip before any hazard check when it
+        // cannot beat the best set so far (deeper, or as deep with an
+        // older seed).
+        const std::size_t max_depth =
+            std::min<std::size_t>(candScratch_.size(), window_);
+        if (max_depth < best_depth ||
+            (max_depth == best_depth && oldest > best_seed))
+            continue;
+        std::erase_if(candScratch_, [&](const MemoryRequest *req) {
+            return !ctx.view->schedulable(*req);
+        });
+        if (!std::is_sorted(candScratch_.begin(), candScratch_.end(), by_id))
+            std::sort(candScratch_.begin(), candScratch_.end(), by_id);
+        bestSetFrom(candScratch_, chip, setScratch_);
         if (setScratch_.empty())
             continue;
         const std::uint64_t seed = setScratch_.front()->id;

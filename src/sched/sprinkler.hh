@@ -75,7 +75,8 @@ class SprinklerScheduler : public IoScheduler
     /** RIOS traversal step; returns a request or nullptr. */
     MemoryRequest *nextRios(SchedulerContext &ctx);
 
-    /** SPK1: depth-first chip selection without traversal. */
+    /** SPK1: depth-first chip selection without traversal, over the
+     *  requests of the few I/Os at the head of the queue. */
     MemoryRequest *nextFaroOnly(SchedulerContext &ctx);
 
     /** Adopt @p set: head is returned, the rest becomes the batch. */
@@ -101,9 +102,6 @@ class SprinklerScheduler : public IoScheduler
     mutable std::vector<std::uint32_t> touchedTags_;
     std::vector<MemoryRequest *> setScratch_;
     std::vector<MemoryRequest *> bestScratch_;
-    /** SPK1 per-chip candidate lists + touched-chip index. */
-    std::vector<std::vector<MemoryRequest *>> faroPerChip_;
-    std::vector<std::uint32_t> faroTouched_;
 };
 
 } // namespace spk

@@ -84,17 +84,18 @@ class GcManager
      * Begin executing a set of batches produced by Ftl::collectGc.
      *
      * Non-urgent launches must respect the admission bound — the
-     * device's collection trigger consults planeSaturated() (via the
-     * FTL admission gate) before collecting, and launch() panics on a
-     * violation. Urgent launches (emergency reclaim: a write had no
-     * space) are admitted past the bound and counted.
+     * device's collection trigger consults admissionHeadroom() (via
+     * the FTL admission gate) before collecting, and launch() panics
+     * on a violation. Urgent launches (emergency reclaim: a write had
+     * no space) are admitted past the bound and counted.
      */
     void launch(const GcBatchList &batches, bool urgent = false);
 
-    /** True when @p plane is at its live-batch admission bound. */
-    bool planeSaturated(std::uint64_t plane) const
+    /** Batches @p plane may still take under its live-batch bound. */
+    std::uint32_t admissionHeadroom(std::uint64_t plane) const
     {
-        return livePerPlane_[plane] >= maxLivePerPlane_;
+        const std::uint32_t live = livePerPlane_[plane];
+        return live >= maxLivePerPlane_ ? 0 : maxLivePerPlane_ - live;
     }
 
     /** Live batches currently executing against @p plane. */

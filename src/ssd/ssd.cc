@@ -44,7 +44,7 @@ Ssd::Ssd(const SsdConfig &cfg)
 
     nvmhc_->setAfterEnqueueHook([this] { maybeCollectGc(); });
     ftl_->setGcAdmission([this](std::uint64_t plane) {
-        return !gc_->planeSaturated(plane);
+        return gc_->admissionHeadroom(plane);
     });
     gc_->setBatchRetiredHook([this] {
         // Retry only when the admission bound actually deferred work;

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <set>
 
 #include "ftl/block_manager.hh"
@@ -129,6 +130,71 @@ TEST(BlockManager, EnduranceRetiresBlock)
     EXPECT_FALSE(bm.eraseBlock(0, 0));
     EXPECT_EQ(bm.badBlocks(), 1u);
     EXPECT_EQ(bm.block(0, 0).state, BlockState::Bad);
+}
+
+/**
+ * The O(1) counters under random allocate / erase / retire / plane
+ * death / revival sequences: freeBlocks() equals a walk of the
+ * free-list ring (and the Free blocks of the plane), and
+ * planesBelowGcThreshold() equals a scan of the live planes.
+ */
+TEST(BlockManager, FreeCountsMatchRecountUnderRandomOps)
+{
+    std::mt19937_64 rng(2026);
+    const auto below = [&rng](std::uint64_t n) { return rng() % n; };
+    FlashGeometry g = geo();
+    g.blocksPerPlane = 6;
+    for (int trial = 0; trial < 60; ++trial) {
+        const auto threshold = static_cast<std::uint32_t>(below(5));
+        BlockManager bm(g, /*endurance=*/3,
+                        below(2) == 0 ? AllocationPolicy::ChannelStripe
+                                      : AllocationPolicy::PlaneFirst,
+                        /*parity_reserve=*/below(2) == 0, threshold);
+        for (int step = 0; step < 300; ++step) {
+            const std::uint64_t plane = below(bm.numPlanes());
+            const auto blk =
+                static_cast<std::uint32_t>(below(g.blocksPerPlane));
+            switch (below(6)) {
+              case 0:
+              case 1:
+                for (auto n = below(2 * g.pagesPerBlock); n > 0; --n)
+                    (void)bm.allocatePage(plane, below(2) == 0);
+                break;
+              case 2: // Free, Active and Full blocks all erase
+                if (bm.block(plane, blk).state != BlockState::Bad)
+                    bm.eraseBlock(plane, blk);
+                break;
+              case 3:
+                bm.retireBlock(plane, blk);
+                break;
+              case 4:
+                bm.markPlaneDead(plane);
+                break;
+              default:
+                if (bm.planeDead(plane))
+                    bm.revivePlane(plane);
+                break;
+            }
+
+            std::uint64_t low = 0;
+            for (std::uint64_t p = 0; p < bm.numPlanes(); ++p) {
+                std::uint32_t free_state = 0;
+                for (std::uint32_t b = 0; b < g.blocksPerPlane; ++b) {
+                    if (bm.block(p, b).state == BlockState::Free)
+                        ++free_state;
+                }
+                const std::uint32_t ring = bm.countFreeListEntries(p);
+                ASSERT_EQ(bm.freeBlocks(p), ring)
+                    << "trial " << trial << " step " << step;
+                ASSERT_EQ(ring, free_state)
+                    << "trial " << trial << " step " << step;
+                if (!bm.planeDead(p) && ring < threshold)
+                    ++low;
+            }
+            ASSERT_EQ(bm.planesBelowGcThreshold(), low)
+                << "trial " << trial << " step " << step;
+        }
+    }
 }
 
 TEST(BlockManager, AddValidUnderflowDies)

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <initializer_list>
+#include <random>
 #include <set>
 #include <vector>
 
@@ -253,6 +254,105 @@ TEST(Ftl, AbortedEvacuationKeepsItsMovesWithoutErase)
     EXPECT_EQ(ftl.stats().gcInvocations, 1u); // the abort is not one
     EXPECT_EQ(ftl.blocks().block(0, 1).validPages, 1u);
     EXPECT_EQ(ftl.blocks().block(0, 1).state, BlockState::Full);
+}
+
+/**
+ * Ftl::gcNeeded() is one comparison against a counter the block
+ * manager keeps; under random host writes, collections, block
+ * retirements (of Free and Full blocks), die deaths and revivals it
+ * must equal the scan of every live plane's free-list ring.
+ */
+TEST(Ftl, GcNeededMatchesPlaneScanUnderRandomOps)
+{
+    std::mt19937_64 rng(2026);
+    const auto below = [&rng](std::uint64_t n) { return rng() % n; };
+    const FlashGeometry g = geo();
+    std::uint64_t seen[2] = {0, 0}; // steps with gcNeeded() false/true
+    for (int trial = 0; trial < 40; ++trial) {
+        FtlConfig c = cfg();
+        c.gcFreeBlockThreshold = static_cast<std::uint32_t>(1 + below(3));
+        c.endurance = static_cast<std::uint32_t>(6 + below(6));
+        Ftl ftl(g, c, nullptr, /*die_parity=*/below(2) == 0);
+        const BlockManager &bm = ftl.blocks();
+        // A hot set well inside capacity and a cap on retired blocks,
+        // so relocation never runs dry.
+        const Lpn hot = ftl.logicalPages() / 4;
+        std::vector<std::pair<std::uint32_t, std::uint32_t>> dead_dies;
+        for (int step = 0; step < 200; ++step) {
+            switch (below(7)) {
+              case 0:
+              case 1:
+              case 2:
+                for (auto n = 1 + below(24); n > 0; --n)
+                    (void)ftl.hostWrite(below(hot));
+                break;
+              case 3:
+                (void)(below(2) == 0 ? ftl.collectGc()
+                                     : ftl.collectGcUrgent());
+                break;
+              case 4: { // program failure into a Free or Full block
+                const std::uint64_t plane = below(bm.numPlanes());
+                PhysAddr addr = bm.planeAddr(plane);
+                addr.block =
+                    static_cast<std::uint32_t>(below(g.blocksPerPlane));
+                const BlockState state =
+                    bm.block(plane, addr.block).state;
+                if (bm.badBlocks() >= bm.numPlanes() ||
+                    (state != BlockState::Free && state != BlockState::Full))
+                    break;
+                for (addr.page = 0; addr.page < g.pagesPerBlock;
+                     ++addr.page) {
+                    const Ppn ppn = g.compose(addr);
+                    if (!ftl.mapping().isValid(ppn)) {
+                        (void)ftl.onProgramFail(ppn);
+                        break;
+                    }
+                }
+                break;
+              }
+              case 5:
+                if (dead_dies.empty()) {
+                    const auto chip =
+                        static_cast<std::uint32_t>(below(g.numChips()));
+                    const auto die =
+                        static_cast<std::uint32_t>(below(g.diesPerChip));
+                    ftl.markDieDead(chip, die);
+                    dead_dies.emplace_back(chip, die);
+                }
+                break;
+              default:
+                if (!dead_dies.empty()) {
+                    const auto [chip, die] = dead_dies.back();
+                    dead_dies.pop_back();
+                    const Ppn base =
+                        (std::uint64_t{chip} * g.diesPerChip + die) *
+                        g.pagesPerDie();
+                    for (Ppn off = 0; off < g.pagesPerDie(); ++off) {
+                        if (ftl.mapping().isValid(base + off)) {
+                            ASSERT_NE(ftl.rebuildRelocate(base + off),
+                                      kInvalidPage);
+                        }
+                    }
+                    ftl.reviveDie(chip, die);
+                }
+                break;
+            }
+
+            bool needed = false;
+            for (std::uint64_t p = 0; p < bm.numPlanes(); ++p) {
+                ASSERT_EQ(bm.freeBlocks(p), bm.countFreeListEntries(p))
+                    << "trial " << trial << " step " << step;
+                if (!bm.planeDead(p) &&
+                    bm.countFreeListEntries(p) < c.gcFreeBlockThreshold)
+                    needed = true;
+            }
+            ASSERT_EQ(ftl.gcNeeded(), needed)
+                << "trial " << trial << " step " << step;
+            ++seen[needed ? 1 : 0];
+        }
+    }
+    EXPECT_GT(seen[0], 0u);
+    EXPECT_GT(seen[1], 0u);
 }
 
 TEST(Ftl, PreconditionFillsRequestedFraction)

@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <set>
+#include <vector>
 
+#include "flash/transaction.hh"
 #include "sched/sprinkler.hh"
 #include "tests/sched/sched_test_util.hh"
 
@@ -18,6 +22,111 @@ namespace
 {
 
 using test::SchedHarness;
+
+/**
+ * Reference SPK1: FARO over the head of the queue by walking every
+ * page of the first four I/Os with uncomposed requests and bucketing
+ * the schedulable ones by chip, as the scheduler did before it read
+ * the per-(chip, tag) index. The set choice is FARO's: the largest
+ * coalescable set per operation, ties to connectivity, then to the
+ * older seed; across chips the deepest set wins, then the older seed.
+ */
+class PageWalkSpk1
+{
+  public:
+    explicit PageWalkSpk1(std::uint32_t window) : window_(window) {}
+
+    MemoryRequest *
+    next(const SchedulerContext &ctx)
+    {
+        while (batchPos_ < batch_.size()) {
+            MemoryRequest *req = batch_[batchPos_++];
+            if (!req->composed && ctx.view->schedulable(*req))
+                return req;
+        }
+        std::vector<std::vector<MemoryRequest *>> per_chip(
+            ctx.geo->numChips());
+        std::size_t seen = 0;
+        for (IoRequest *io : *ctx.queue) {
+            if (io->allComposed())
+                continue;
+            for (MemoryRequest *req : io->pages) {
+                if (req->composed || req->composing ||
+                    !ctx.view->schedulable(*req))
+                    continue;
+                per_chip[req->addr.chip].push_back(req);
+            }
+            if (++seen >= 4)
+                break;
+        }
+        std::vector<MemoryRequest *> best;
+        for (std::uint32_t chip = 0; chip < per_chip.size(); ++chip) {
+            if (per_chip[chip].empty() ||
+                ctx.view->outstanding(chip) >= window_)
+                continue;
+            const auto set = bestSet(per_chip[chip], chip);
+            if (set.empty())
+                continue;
+            if (set.size() > best.size() ||
+                (set.size() == best.size() &&
+                 set.front()->id < best.front()->id))
+                best = set;
+        }
+        if (best.empty())
+            return nullptr;
+        batch_.assign(best.begin() + 1, best.end());
+        batchPos_ = 0;
+        return best.front();
+    }
+
+  private:
+    std::vector<MemoryRequest *>
+    bestSet(const std::vector<MemoryRequest *> &cands,
+            std::uint32_t chip) const
+    {
+        const auto greedy = [&](FlashOp op) {
+            std::vector<MemoryRequest *> set;
+            FlashTransaction txn(op, chip);
+            for (MemoryRequest *req : cands) {
+                if (req->op != op || set.size() >= window_)
+                    continue;
+                if (canCoalesce(txn, *req)) {
+                    txn.add(req);
+                    set.push_back(req);
+                }
+            }
+            return set;
+        };
+        const auto connectivity =
+            [&](const std::vector<MemoryRequest *> &set) {
+                std::size_t best = 0;
+                for (const MemoryRequest *a : set) {
+                    best = std::max<std::size_t>(
+                        best,
+                        std::count_if(cands.begin(), cands.end(),
+                                      [a](const MemoryRequest *b) {
+                                          return b->tag == a->tag;
+                                      }));
+                }
+                return best;
+            };
+        const auto reads = greedy(FlashOp::Read);
+        const auto writes = greedy(FlashOp::Program);
+        if (reads.size() != writes.size())
+            return reads.size() > writes.size() ? reads : writes;
+        if (reads.empty())
+            return {};
+        const auto conn_r = connectivity(reads);
+        const auto conn_w = connectivity(writes);
+        if (conn_r != conn_w)
+            return conn_r > conn_w ? reads : writes;
+        return reads.front()->id <= writes.front()->id ? reads : writes;
+    }
+
+    std::uint32_t window_;
+    std::vector<MemoryRequest *> batch_;
+    std::size_t batchPos_ = 0;
+};
 
 TEST(Sprinkler, NamesAndFlags)
 {
@@ -165,6 +274,72 @@ TEST(Sprinkler, SkipsComposedEntries)
     MemoryRequest *r = spk3.next(h.ctx);
     ASSERT_NE(r, nullptr);
     EXPECT_EQ(r, io->pages[1]);
+}
+
+TEST(Sprinkler, Spk1MatchesPageWalkOnRandomQueues)
+{
+    std::mt19937_64 rng(2026);
+    const auto below = [&rng](std::uint64_t n) { return rng() % n; };
+    for (int trial = 0; trial < 300; ++trial) {
+        SchedHarness h;
+        const std::uint32_t chips = h.geo.numChips();
+        const auto window = static_cast<std::uint32_t>(1 + below(8));
+        std::vector<MemoryRequest *> all;
+        const auto n_ios = 1 + below(12);
+        for (std::uint64_t i = 0; i < n_ios; ++i) {
+            std::vector<std::uint32_t> targets(1 + below(10));
+            for (auto &chip : targets)
+                chip = static_cast<std::uint32_t>(below(chips));
+            IoRequest *io = h.addIo(targets, below(2) == 0);
+            for (MemoryRequest *req : io->pages) {
+                // Scatter the slots so sets coalesce only sometimes.
+                req->addr.die = static_cast<std::uint32_t>(below(2));
+                req->addr.plane = static_cast<std::uint32_t>(below(2));
+                req->addr.block = static_cast<std::uint32_t>(below(3));
+                req->addr.page = static_cast<std::uint32_t>(below(2));
+                all.push_back(req);
+            }
+        }
+
+        std::vector<std::uint8_t> hazard(h.nextReqId);
+        h.view.schedulableOverride = [&](const MemoryRequest &req) {
+            return hazard[req.id] == 0;
+        };
+
+        SprinklerScheduler spk1(false, true, window);
+        PageWalkSpk1 reference(window);
+        std::size_t composed = 0;
+        for (int step = 0; composed < all.size() && step < 600; ++step) {
+            // Readdressing: uncomposed reads move to another chip and
+            // rejoin their lists at the back, out of page order.
+            for (MemoryRequest *req : all) {
+                if (!req->composed && req->op == FlashOp::Read &&
+                    below(100) < 8)
+                    h.retarget(req,
+                               static_cast<std::uint32_t>(below(chips)));
+            }
+            const auto busy_pct = below(100);
+            const auto hazard_pct = below(50);
+            for (std::uint32_t chip = 0; chip < chips; ++chip) {
+                h.view.outstandingMap[chip] =
+                    below(100) < busy_pct
+                        ? static_cast<std::uint32_t>(below(window + 2))
+                        : 0;
+            }
+            for (auto &z : hazard)
+                z = below(100) < hazard_pct ? 1 : 0;
+
+            MemoryRequest *expected = reference.next(h.ctx);
+            MemoryRequest *got = spk1.next(h.ctx);
+            ASSERT_EQ(got, expected)
+                << "trial " << trial << " step " << step;
+            if (got != nullptr) {
+                h.compose(got);
+                ++composed;
+            }
+        }
+        EXPECT_EQ(composed, all.size()) << "trial " << trial;
+    }
 }
 
 TEST(Sprinkler, EmptyQueueReturnsNull)

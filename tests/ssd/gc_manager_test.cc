@@ -182,16 +182,16 @@ TEST(GcManager, AdmissionBoundTracksLiveBatchesPerPlane)
     GcBatchList batches;
     f.makeBatch(batches, 1);
     f.makeBatch(batches, 1);
-    EXPECT_FALSE(f.gc->planeSaturated(0));
+    EXPECT_GT(f.gc->admissionHeadroom(0), 0u);
     f.gc->launch(batches);
     // Two live batches on plane 0: at the bound, not past it.
     EXPECT_EQ(f.gc->liveBatchesOnPlane(0), 2u);
-    EXPECT_TRUE(f.gc->planeSaturated(0));
-    EXPECT_FALSE(f.gc->planeSaturated(1));
+    EXPECT_EQ(f.gc->admissionHeadroom(0), 0u);
+    EXPECT_GT(f.gc->admissionHeadroom(1), 0u);
     f.events.run();
     // Retirement returns the admission shares.
     EXPECT_EQ(f.gc->liveBatchesOnPlane(0), 0u);
-    EXPECT_FALSE(f.gc->planeSaturated(0));
+    EXPECT_GT(f.gc->admissionHeadroom(0), 0u);
     EXPECT_EQ(f.retiredCalls, 2);
     EXPECT_EQ(f.gc->stats().overCapLaunches, 0u);
 }
@@ -202,7 +202,7 @@ TEST(GcManager, NonUrgentLaunchPastBoundDies)
     GcBatchList first;
     f.makeBatch(first, 1);
     f.gc->launch(first);
-    ASSERT_TRUE(f.gc->planeSaturated(0));
+    ASSERT_EQ(f.gc->admissionHeadroom(0), 0u);
     GcBatchList second;
     f.makeBatch(second, 1);
     EXPECT_DEATH(f.gc->launch(second), "admission bound violated");
@@ -214,7 +214,7 @@ TEST(GcManager, UrgentLaunchBypassesBoundAndIsCounted)
     GcBatchList first;
     f.makeBatch(first, 0);
     f.gc->launch(first);
-    ASSERT_TRUE(f.gc->planeSaturated(0));
+    ASSERT_EQ(f.gc->admissionHeadroom(0), 0u);
     GcBatchList second;
     f.makeBatch(second, 0);
     f.gc->launch(second, /*urgent=*/true);
@@ -317,6 +317,62 @@ TEST(GcAdmission, DeviceRespectsAdmissionBoundUnderPressure)
     const MetricsSnapshot m = ssd.metrics();
     EXPECT_EQ(m.iosCompleted, 400u);
     EXPECT_GT(m.gcBatches, 0u);
+}
+
+/**
+ * With die parity a collection round visits a block group once per
+ * needy member plane. Here a group's die-0 plane sits at 1 free
+ * block and its die-1 sibling at 0, so after the first visit erases
+ * one group the sibling is still needy and the round collects the
+ * group again, before any of its batches is launched. Under a bound
+ * of one live batch per plane, that second collection must be
+ * deferred (the round's own batches count toward the bound) instead
+ * of reaching GcManager::launch and violating the bound.
+ */
+TEST(GcAdmission, ParityRoundCountsItsOwnBatchesTowardTheBound)
+{
+    SsdConfig cfg = SsdConfig::withChips(8);
+    cfg.geometry.blocksPerPlane = 16;
+    cfg.geometry.pagesPerBlock = 32;
+    cfg.ftl.overprovision = 0.20;
+    cfg.parity.enabled = true;
+    cfg.scheduler = SchedulerKind::SPK3;
+    cfg.gcMaxLiveBatchesPerPlane = 1;
+
+    Ssd ssd(cfg);
+    ssd.preconditionForGc(0.95);
+    Ftl &ftl = ssd.ftl();
+    const BlockManager &bm = ftl.blocks();
+    ASSERT_FALSE(ftl.gcNeeded());
+
+    // Drain the group of (chip 0, plane 0) by failing programs into
+    // its Free blocks: the block retires, the plane loses a Free
+    // block, and nothing live moves.
+    const auto drain = [&](std::uint32_t die, std::uint32_t keep) {
+        PhysAddr addr;
+        addr.die = die;
+        const std::uint64_t plane = bm.planeIndexOf(addr);
+        for (addr.block = 0; addr.block < cfg.geometry.blocksPerPlane &&
+                             bm.freeBlocks(plane) > keep;
+             ++addr.block) {
+            if (bm.block(plane, addr.block).state == BlockState::Free)
+                (void)ftl.onProgramFail(cfg.geometry.compose(addr));
+        }
+        ASSERT_EQ(bm.freeBlocks(plane), keep);
+    };
+    drain(/*die=*/0, /*keep=*/1);
+    drain(/*die=*/1, /*keep=*/0);
+    ASSERT_TRUE(ftl.gcNeeded());
+
+    // The host write's after-enqueue check runs the collection round.
+    const std::uint64_t deferrals = ftl.stats().gcDeferrals;
+    ssd.submitAt(0, true, 0, cfg.geometry.pageSizeBytes);
+    ssd.run();
+
+    EXPECT_GT(ftl.stats().gcDeferrals, deferrals);
+    EXPECT_EQ(ssd.gc().stats().overCapLaunches, 0u);
+    EXPECT_EQ(ssd.results().size(), 1u);
+    EXPECT_TRUE(ssd.gc().idle());
 }
 
 } // namespace
