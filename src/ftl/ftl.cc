@@ -38,11 +38,13 @@ Ftl::Ftl(const FlashGeometry &geo, const FtlConfig &cfg,
     geo_.validate();
     if (die_parity)
         parityMap_ = std::make_unique<StripeParityMap>(geo_);
-    // One batch per plane per collection round (plus one wear-level
-    // slot), at most a block's worth of migrations each: pre-carving
-    // the scratch here makes steady-state collection allocation-free.
+}
+
+void
+Ftl::startCollection()
+{
     batchScratch_.reserve(blocks_.numPlanes() + 1, geo_.pagesPerBlock);
-    retireScratch_.reserve(1, geo_.pagesPerBlock);
+    batchScratch_.reset();
 }
 
 void
@@ -229,7 +231,7 @@ Ftl::parityForgetBlock(std::uint64_t plane, std::uint32_t block)
 const GcBatchList &
 Ftl::collectGcGroups(bool respect_admission)
 {
-    batchScratch_.reset();
+    startCollection();
     const std::uint64_t n_planes = blocks_.numPlanes();
     // With die parity a stripe spans the sibling planes (same chip
     // and plane-in-die) of every die, and collecting whole block
@@ -370,7 +372,7 @@ Ftl::wearLevelNeeded() const
 const GcBatchList &
 Ftl::collectWearLevel()
 {
-    batchScratch_.reset();
+    startCollection();
     if (!wearLevelNeeded())
         return batchScratch_;
     // The coldest full block pins cold data on a low-wear block:
@@ -428,6 +430,7 @@ Ftl::retireBlockWithMigration(std::uint64_t plane, std::uint32_t block)
     // never land inside the block being retired.
     blocks_.retireBlock(plane, block);
 
+    retireScratch_.reserve(1, geo_.pagesPerBlock);
     retireScratch_.reset();
     GcBatch &batch = retireScratch_.append();
     batch.eraseAfter = false; // Bad blocks are never erased again

@@ -182,13 +182,17 @@ class GcBatchList
     void reset() { used_ = 0; }
 
     /**
-     * Pre-carve @p n slots of @p migrations capacity each. Call once
-     * before use: raising the per-slot capacity re-strides the arena,
-     * which would scramble any migrations already recorded.
+     * Carve at least @p n slots of @p migrations capacity each; a
+     * no-op (no allocation, no re-wiring) once the list is that
+     * large. Call before the first batch is appended: raising the
+     * per-slot capacity re-strides the arena, which would scramble
+     * any migrations already recorded.
      */
     void
     reserve(std::size_t n, std::size_t migrations)
     {
+        if (n <= storage_.size() && migrations <= migCap_)
+            return;
         if (migrations > migCap_ && used_ != 0)
             panic("GcBatchList::reserve re-stride with live batches");
         migCap_ = std::max(migCap_, migrations);
@@ -441,6 +445,14 @@ class Ftl
                        GcBatch &batch);
 
     /**
+     * Start a collection round on batchScratch_, carving it on the
+     * first round: one batch per plane (plus one wear-level slot), at
+     * most a block's worth of migrations each. A device that never
+     * collects never pays for it; later rounds allocate nothing.
+     */
+    void startCollection();
+
+    /**
      * Evacuate (plane, block) into a new batchScratch_ batch and
      * erase it. An evacuation that runs out of space keeps its moves
      * in a batch that charges them without an erase.
@@ -491,11 +503,12 @@ class Ftl
     ReaddressCallback readdress_;
     GcAdmission gcAdmit_;
     BatchLaunchFn launchBatches_;
-    /** Recycled collectGc/collectWearLevel output (pre-carved in the
-     *  constructor so steady-state collection never allocates). */
+    /** Recycled collectGc/collectWearLevel output, carved by the
+     *  first collection (startCollection). */
     GcBatchList batchScratch_;
-    /** Scratch for fault-driven block retirement; separate from
-     *  batchScratch_ because retirement can interleave with GC. */
+    /** Scratch for fault-driven block retirement, carved by the first
+     *  retirement; separate from batchScratch_ because retirement can
+     *  interleave with GC. */
     GcBatchList retireScratch_;
 };
 

@@ -11,8 +11,9 @@
 #ifndef SPK_FTL_MAPPING_HH
 #define SPK_FTL_MAPPING_HH
 
+#include <algorithm>
 #include <cstdint>
-#include <vector>
+#include <memory>
 
 #include "flash/geometry.hh"
 #include "sim/types.hh"
@@ -23,13 +24,20 @@ namespace spk
 /**
  * Page-level mapping table.
  *
- * Both tables are dense vectors indexed by Lpn / Ppn; the geometry's
- * page counts bound both spaces. Validity lives here (not in the
+ * Both tables are dense 32-bit arrays indexed by Lpn / Ppn; the
+ * geometry's page counts bound both spaces, and a geometry with more
+ * than kMaxPages physical pages is rejected with fatal(). An entry
+ * stores page + 1 and 0 means unmapped, so a table can start all-zero
+ * and be cleared lazily (see Table). Validity lives here (not in the
  * block manager) because it is a property of the mapping.
  */
 class PageMapping
 {
   public:
+    /** Most physical pages a device may have: entries are 32 bits
+     *  wide and 0 is reserved for "unmapped". */
+    static constexpr std::uint64_t kMaxPages = 0xFFFF'FFFFull;
+
     /**
      * @param geo device geometry (fixes the physical page count)
      * @param logical_pages exported logical capacity in pages; must
@@ -62,8 +70,69 @@ class PageMapping
     std::uint64_t liveCount() const { return live_; }
 
   private:
-    std::vector<Ppn> l2p_;
-    std::vector<Lpn> p2l_; //!< kInvalidPage = free or stale
+    /**
+     * One table of 32-bit entries (page + 1, 0 = unmapped), zeroed
+     * lazily in chunks of kChunk entries: construction zeroes one flag
+     * bit per chunk, and a chunk is zeroed by its first write. A
+     * device pays for the chunks its run writes, not for its capacity,
+     * on fresh and reused heap memory alike. Entries and flags share
+     * one allocation.
+     */
+    class Table
+    {
+      public:
+        explicit Table(std::uint64_t n);
+
+        std::uint64_t size() const { return size_; }
+
+        std::uint32_t
+        get(std::uint64_t i) const
+        {
+            return cleared(i / kChunk) ? words_[i] : 0;
+        }
+
+        void
+        set(std::uint64_t i, std::uint32_t entry)
+        {
+            const std::uint64_t chunk = i / kChunk;
+            if (!cleared(chunk)) {
+                std::fill_n(&words_[chunk * kChunk], kChunk, 0u);
+                flags()[chunk / 32] |= std::uint32_t{1} << (chunk % 32);
+            }
+            words_[i] = entry;
+        }
+
+      private:
+        static constexpr std::uint64_t kChunk = 64;
+
+        /** Chunk-cleared bits, after the chunks' entries. */
+        std::uint32_t *flags() const { return &words_[chunks_ * kChunk]; }
+
+        bool
+        cleared(std::uint64_t chunk) const
+        {
+            return (flags()[chunk / 32] >> (chunk % 32)) & 1;
+        }
+
+        std::uint64_t size_;
+        std::uint64_t chunks_;
+        std::unique_ptr<std::uint32_t[]> words_;
+    };
+
+    static std::uint64_t
+    decode(std::uint32_t entry)
+    {
+        return entry == 0 ? kInvalidPage : std::uint64_t{entry} - 1;
+    }
+
+    static std::uint32_t
+    encode(std::uint64_t page)
+    {
+        return static_cast<std::uint32_t>(page + 1);
+    }
+
+    Table p2l_; //!< first: its size check guards both allocations
+    Table l2p_;
     std::uint64_t live_ = 0;
 };
 

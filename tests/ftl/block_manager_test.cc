@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <utility>
 #include <set>
 
 #include "ftl/block_manager.hh"
@@ -192,6 +194,63 @@ TEST(BlockManager, FreeCountsMatchRecountUnderRandomOps)
                     ++low;
             }
             ASSERT_EQ(bm.planesBelowGcThreshold(), low)
+                << "trial " << trial << " step " << step;
+        }
+    }
+}
+
+/**
+ * The kept erase-count spread under random erases (skewed toward a
+ * few hot blocks, so the extremes drift apart), retirements,
+ * endurance wear-out, plane death and revival: the kept eraseSpread()
+ * equals a scan of every block.
+ */
+TEST(BlockManager, EraseSpreadMatchesScanUnderRandomOps)
+{
+    std::mt19937_64 rng(2027);
+    const auto below = [&rng](std::uint64_t n) { return rng() % n; };
+    const FlashGeometry g = geo();
+    for (int trial = 0; trial < 40; ++trial) {
+        const auto endurance = static_cast<std::uint32_t>(4 + below(40));
+        BlockManager bm(g, endurance);
+        const std::uint64_t hot_planes = 1 + below(bm.numPlanes());
+        for (int step = 0; step < 400; ++step) {
+            const bool hot = below(4) != 0;
+            const std::uint64_t plane =
+                below(hot ? hot_planes : bm.numPlanes());
+            const auto blk = static_cast<std::uint32_t>(
+                below(hot ? 2 : g.blocksPerPlane));
+            switch (below(10)) {
+              case 0:
+                bm.retireBlock(plane, blk);
+                break;
+              case 1:
+                bm.markPlaneDead(plane);
+                break;
+              case 2:
+                if (bm.planeDead(plane))
+                    bm.revivePlane(plane);
+                break;
+              default: // erase counts on live and dead planes alike
+                if (bm.block(plane, blk).state != BlockState::Bad)
+                    bm.eraseBlock(plane, blk);
+                break;
+            }
+
+            std::uint32_t lo = ~0u;
+            std::uint32_t hi = 0;
+            for (std::uint64_t p = 0; p < bm.numPlanes(); ++p) {
+                for (std::uint32_t b = 0; b < g.blocksPerPlane; ++b) {
+                    const BlockInfo &info = bm.block(p, b);
+                    if (info.state == BlockState::Bad)
+                        continue;
+                    lo = std::min(lo, info.eraseCount);
+                    hi = std::max(hi, info.eraseCount);
+                }
+            }
+            if (lo > hi)
+                lo = hi; // every block bad
+            ASSERT_EQ(bm.eraseSpread(), std::make_pair(lo, hi))
                 << "trial " << trial << " step " << step;
         }
     }

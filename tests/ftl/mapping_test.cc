@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <unordered_map>
 
 #include "ftl/mapping.hh"
@@ -89,6 +90,126 @@ TEST(PageMapping, OutOfRangeAccessDies)
     PageMapping m(geo(), 10);
     EXPECT_DEATH(m.lookup(10), "out-of-range");
     EXPECT_DEATH((void)m.isValid(geo().totalPages()), "out-of-range");
+}
+
+TEST(PageMapping, PageCountBeyond32BitsIsFatalBeforeAllocating)
+{
+    // 2^56 physical pages. The check must fire before either table is
+    // allocated: a 2^58-byte table cannot be allocated, so a check
+    // placed after the allocation dies of bad_alloc instead.
+    FlashGeometry g;
+    g.numChannels = 256;
+    g.chipsPerChannel = 256;
+    g.diesPerChip = 32;
+    g.planesPerDie = 32;
+    g.blocksPerPlane = 1u << 15;
+    g.pagesPerBlock = 1u << 15;
+    ASSERT_GT(g.totalPages(), PageMapping::kMaxPages);
+    EXPECT_DEATH(PageMapping(g, 1), "32-bit mapping limit");
+}
+
+/**
+ * Property: random bind, rebind and invalidatePhysical agree with an
+ * unordered_map reference on every logical and physical page. The
+ * logical space is the whole physical space and the edge pages (0 and
+ * the last of each space) are drawn often, so an off-by-one in the
+ * page + 1 encoding shows up.
+ */
+TEST(PageMapping, MatchesReferenceUnderRandomOps)
+{
+    const auto g = geo();
+    const std::uint64_t pages = g.totalPages();
+    PageMapping m(g, pages);
+    Rng rng(19);
+    const auto pick = [&rng, pages] {
+        switch (rng.nextBelow(4)) {
+          case 0:
+            return std::uint64_t{0};
+          case 1:
+            return pages - 1;
+          default:
+            return rng.nextBelow(pages);
+        }
+    };
+    std::unordered_map<Lpn, Ppn> fwd;
+    std::unordered_map<Ppn, Lpn> rev;
+    int last_lpn_binds = 0;
+    int last_ppn_binds = 0;
+
+    for (int step = 0; step < 3000; ++step) {
+        const Ppn ppn = pick();
+        if (rng.nextBelow(3) == 0) {
+            m.invalidatePhysical(ppn);
+            if (const auto it = rev.find(ppn); it != rev.end()) {
+                fwd.erase(it->second);
+                rev.erase(it);
+            }
+        } else if (!rev.count(ppn)) {
+            const Lpn lpn = pick();
+            const auto it = fwd.find(lpn);
+            const Ppn old = it == fwd.end() ? kInvalidPage : it->second;
+            ASSERT_EQ(m.bind(lpn, ppn), old) << "step " << step;
+            if (old != kInvalidPage)
+                rev.erase(old);
+            fwd[lpn] = ppn;
+            rev[ppn] = lpn;
+            last_lpn_binds += lpn == pages - 1 ? 1 : 0;
+            last_ppn_binds += ppn == pages - 1 ? 1 : 0;
+        }
+
+        ASSERT_EQ(m.liveCount(), fwd.size()) << "step " << step;
+        for (std::uint64_t i = 0; i < pages; ++i) {
+            const auto f = fwd.find(i);
+            ASSERT_EQ(m.lookup(i), f == fwd.end() ? kInvalidPage : f->second)
+                << "lpn " << i << " step " << step;
+            const auto r = rev.find(i);
+            ASSERT_EQ(m.reverseLookup(i),
+                      r == rev.end() ? kInvalidPage : r->second)
+                << "ppn " << i << " step " << step;
+            ASSERT_EQ(m.isValid(i), r != rev.end());
+        }
+    }
+    // The last page of each space was really bound, not just probed.
+    EXPECT_GT(last_lpn_binds, 0);
+    EXPECT_GT(last_ppn_binds, 0);
+}
+
+/**
+ * The tables are cleared chunk by chunk on first write, not at
+ * construction. Build each mapping on the heap memory its predecessor
+ * filled with live entries: every page must still start unmapped, and
+ * a write must clear its whole chunk without touching its neighbours.
+ */
+TEST(PageMapping, ReusedHeapMemoryStartsUnmapped)
+{
+    FlashGeometry g = geo();
+    g.blocksPerPlane = 64; // 4096 pages: many table chunks
+    const std::uint64_t pages = g.totalPages();
+    for (int round = 0; round < 3; ++round) {
+        auto m = std::make_unique<PageMapping>(g, pages);
+        for (std::uint64_t i = 0; i < pages; ++i) {
+            ASSERT_EQ(m->lookup(i), kInvalidPage) << "round " << round;
+            ASSERT_EQ(m->reverseLookup(i), kInvalidPage) << "round " << round;
+        }
+        // Sparse writes (every 37th page, reversed), then checks of
+        // every page, written chunk or not.
+        for (std::uint64_t i = 0; i < pages; i += 37)
+            ASSERT_EQ(m->bind(i, pages - 1 - i), kInvalidPage);
+        for (std::uint64_t i = 0; i < pages; ++i) {
+            const bool bound = i % 37 == 0;
+            ASSERT_EQ(m->lookup(i), bound ? pages - 1 - i : kInvalidPage);
+            const std::uint64_t lpn = pages - 1 - i;
+            ASSERT_EQ(m->reverseLookup(i),
+                      lpn % 37 == 0 ? lpn : kInvalidPage);
+        }
+        // Fill every entry so the next round's tables, likely carved
+        // from this memory, start out dirty.
+        for (std::uint64_t i = 0; i < pages; ++i) {
+            if (i % 37 != 0)
+                m->bind(i, pages - 1 - i);
+        }
+        ASSERT_EQ(m->liveCount(), pages);
+    }
 }
 
 /** Property: mapping stays a bijection under random rebinding. */
