@@ -39,7 +39,6 @@ BlockManager::BlockManager(const FlashGeometry &geo,
         planes_[p].freeBlocks = geo.blocksPerPlane;
     }
     lowPlanes_ = geo.blocksPerPlane < gcThreshold_ ? n_planes : 0;
-    spread_.atLo = spread_.atHi = blocks_.size();
 }
 
 void
@@ -243,7 +242,7 @@ BlockManager::eraseBlock(std::uint64_t plane_idx, std::uint32_t blk)
 
     ++info.eraseCount;
     maxErase_ = std::max(maxErase_, info.eraseCount);
-    spreadNoteErased(info.eraseCount);
+    spreadStale_ = true;
     info.writtenPages = 0;
 
     if (static_cast<std::int32_t>(blk) == plane.activeBlock)
@@ -253,7 +252,6 @@ BlockManager::eraseBlock(std::uint64_t plane_idx, std::uint32_t blk)
         // Bad block replacement: retire; capacity shrinks.
         info.state = BlockState::Bad;
         ++badBlocks_;
-        spreadNoteRetired(info.eraseCount);
         if (was_free)
             addFreeBlocks(plane_idx, -1);
         return false;
@@ -283,7 +281,7 @@ BlockManager::retireBlock(std::uint64_t plane_idx, std::uint32_t blk)
         addFreeBlocks(plane_idx, -1);
     info.state = BlockState::Bad;
     ++badBlocks_;
-    spreadNoteRetired(info.eraseCount);
+    spreadStale_ = true;
 }
 
 void
@@ -319,56 +317,24 @@ BlockManager::revivePlane(std::uint64_t plane_idx)
     --deadPlanes_;
 }
 
-void
-BlockManager::spreadNoteErased(std::uint32_t count)
+std::pair<std::uint32_t, std::uint32_t>
+BlockManager::eraseSpread() const
 {
-    const std::uint32_t was = count - 1;
-    if (count > spread_.hi) {
-        spread_.hi = count;
-        spread_.atHi = 1;
-    } else if (count == spread_.hi) {
-        ++spread_.atHi;
-    }
-    // The block left the minimum; the new minimum is was + 1 (this
-    // block) or higher, but how many blocks share it takes a scan.
-    if (was == spread_.lo && --spread_.atLo == 0)
-        rescanEraseSpread();
-}
-
-void
-BlockManager::spreadNoteRetired(std::uint32_t count)
-{
-    bool rescan = false;
-    if (count == spread_.lo && --spread_.atLo == 0)
-        rescan = true;
-    if (count == spread_.hi && --spread_.atHi == 0)
-        rescan = true;
-    if (rescan)
-        rescanEraseSpread();
-}
-
-void
-BlockManager::rescanEraseSpread()
-{
-    spread_ = EraseSpread{std::numeric_limits<std::uint32_t>::max(), 0, 0,
-                          0};
+    if (!spreadStale_)
+        return spread_;
+    std::uint32_t lo = std::numeric_limits<std::uint32_t>::max();
+    std::uint32_t hi = 0;
     for (const auto &info : blocks_) {
         if (info.state == BlockState::Bad)
             continue;
-        const std::uint32_t count = info.eraseCount;
-        if (count < spread_.lo) {
-            spread_.lo = count;
-            spread_.atLo = 0;
-        }
-        if (count > spread_.hi) {
-            spread_.hi = count;
-            spread_.atHi = 0;
-        }
-        spread_.atLo += count == spread_.lo ? 1 : 0;
-        spread_.atHi += count == spread_.hi ? 1 : 0;
+        lo = std::min(lo, info.eraseCount);
+        hi = std::max(hi, info.eraseCount);
     }
-    if (spread_.lo > spread_.hi)
-        spread_.lo = spread_.hi; // every block bad
+    if (lo > hi)
+        lo = hi;
+    spread_ = {lo, hi};
+    spreadStale_ = false;
+    return spread_;
 }
 
 std::optional<std::pair<std::uint64_t, std::uint32_t>>

@@ -172,12 +172,10 @@ class BlockManager
     std::uint32_t maxEraseCount() const { return maxErase_; }
 
     /** (min, max) erase counts over non-bad blocks ((0, 0) when every
-     *  block is bad); kept current at every erase and retirement, so
-     *  O(1) amortized. */
-    std::pair<std::uint32_t, std::uint32_t> eraseSpread() const
-    {
-        return {spread_.lo, spread_.hi};
-    }
+     *  block is bad). Cached: only the first call after an erase or a
+     *  retirement scans the blocks, so a device that erases nothing
+     *  answers in O(1). */
+    std::pair<std::uint32_t, std::uint32_t> eraseSpread() const;
 
     /**
      * Coldest Full block in the device: lowest erase count, most
@@ -254,31 +252,6 @@ class BlockManager
     /** Make sure a plane has an active block; may pop the free list. */
     bool ensureActive(std::uint64_t plane_idx, bool gc_reserve);
 
-    /**
-     * Erase-count extremes over non-bad blocks and how many blocks sit
-     * at each. Erase counts only grow, one step at a time, so an erase
-     * updates both ends in O(1); only the last block leaving an end
-     * (an erase off the minimum, or a retirement) forces a rescan, and
-     * the minimum cannot rise more often than once per erase of every
-     * block, so the rescans amortize to O(1) per erase.
-     */
-    struct EraseSpread
-    {
-        std::uint32_t lo = 0;
-        std::uint32_t hi = 0;
-        std::uint64_t atLo = 0; //!< non-bad blocks with eraseCount == lo
-        std::uint64_t atHi = 0; //!< non-bad blocks with eraseCount == hi
-    };
-
-    /** Recompute spread_ from every block. */
-    void rescanEraseSpread();
-
-    /** A non-bad block's erase count went from @p count - 1 to @p count. */
-    void spreadNoteErased(std::uint32_t count);
-
-    /** A block with erase count @p count stopped counting (went Bad). */
-    void spreadNoteRetired(std::uint32_t count);
-
     FlashGeometry geo_;
     std::uint32_t endurance_;
     AllocationPolicy policy_;
@@ -289,7 +262,10 @@ class BlockManager
     std::vector<BlockInfo> blocks_;        //!< planes x blocksPerPlane
     std::vector<std::uint32_t> freeSlots_; //!< planes x blocksPerPlane
     std::uint32_t maxErase_ = 0;
-    EraseSpread spread_;
+    /** eraseSpread()'s answer, valid while !spreadStale_; eraseBlock
+     *  and retireBlock set the bit. */
+    mutable std::pair<std::uint32_t, std::uint32_t> spread_{0, 0};
+    mutable bool spreadStale_ = false;
     std::uint64_t badBlocks_ = 0;
     std::uint64_t deadPlanes_ = 0;
 };

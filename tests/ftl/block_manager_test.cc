@@ -202,7 +202,7 @@ TEST(BlockManager, FreeCountsMatchRecountUnderRandomOps)
 /**
  * The kept erase-count spread under random erases (skewed toward a
  * few hot blocks, so the extremes drift apart), retirements,
- * endurance wear-out, plane death and revival: the kept eraseSpread()
+ * endurance wear-out, plane death and revival: the cached eraseSpread()
  * equals a scan of every block.
  */
 TEST(BlockManager, EraseSpreadMatchesScanUnderRandomOps)

@@ -101,6 +101,9 @@ smallGeometry()
  */
 TEST(GcAlloc, DeviceThatNeverCollectsCarvesNoGcScratch)
 {
+#if defined(SPK_ALLOC_COUNTER_DISABLED)
+    GTEST_SKIP() << "allocation counting is compiled out in this build";
+#endif
     const FlashGeometry g = smallGeometry();
     const FtlConfig cfg;
 
